@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 import time
 
@@ -93,7 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int, default=None, help="rank for rank-k error column")
     b.add_argument("--sigma", type=float, default=1.0, help="kernel bandwidth")
     b.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    b.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker threads")
+    b.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker threads; above 1, timed cells run at once and their timings inflate",
+    )
     b.add_argument("--header", action="store_true", help="input has a header row")
     b.add_argument("--drop-first-col", action="store_true", help="skip a leading label column")
     b.add_argument("--center", action="store_true", help="subtract column means before the run")

@@ -7,8 +7,6 @@ not an allocator hook: LAPACK-internal scratch is not counted.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class EntryCounter:
     def __init__(self) -> None:
@@ -22,9 +20,3 @@ class EntryCounter:
 
     def free(self, entries: int) -> None:
         self.current -= int(entries)
-
-    def alloc_array(self, arr: np.ndarray) -> None:
-        self.alloc(arr.size)
-
-    def free_array(self, arr: np.ndarray) -> None:
-        self.free(arr.size)

@@ -50,13 +50,21 @@ class FeatureMap:
         return self.scale * np.cos(self.r @ xv + self.gamma)
 
     def apply_batch(self, a) -> np.ndarray:
-        """Lift each row of an (n, d) matrix; returns (n, m)."""
+        """Lift each row of an (n, d) matrix; returns (n, m).
+
+        Validates the block once and works in place on its own product, so
+        the (n, m) result is the only array it allocates.
+        """
         arr = as_matrix(a, "data matrix")
         if arr.shape[1] != self.d:
             raise ContractViolationError(
                 f"data has {arr.shape[1]} columns, feature map expects {self.d}"
             )
-        return self.scale * np.cos(arr @ self.r.T + self.gamma)
+        out = arr @ self.r.T
+        out += self.gamma
+        np.cos(out, out=out)
+        out *= self.scale
+        return out
 
 
 def sample_feature_map(spec: KernelSpec, m: int, d: int, seed: int) -> FeatureMap:

@@ -1,11 +1,13 @@
 """Streaming kernel PCA: lift each point with a random Fourier feature map
 and feed it to a Frequent Directions sketch, in one pass and bounded memory.
 
-Training consumes the stream a row at a time and keeps only the feature
-functions (d*m entries) and the sketch (ell*m entries). The returned model
-holds the ell-dimensional basis W of the sketch's row space, which spans an
-approximate kernel eigenspace: reconstructing G~ = (ZW)(ZW)^T stays within
-eps*n of the exact gram matrix in spectral norm at the derived (m, ell).
+Training gathers the stream into blocks of ell rows, lifts and inserts each
+block at once, and keeps only the feature functions (d*m entries), the
+sketch (ell*m entries) and one block (ell*d input and ell*m lifted
+entries). The returned model holds the ell-dimensional basis W of the
+sketch's row space, which spans an approximate kernel eigenspace:
+reconstructing G~ = (ZW)(ZW)^T stays within eps*n of the exact gram matrix
+in spectral norm at the derived (m, ell).
 """
 
 from __future__ import annotations
@@ -173,23 +175,42 @@ def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:
     counter = EntryCounter()
     fm = sample_feature_map(config.kernel, m, d, config.seed)
     counter.alloc(m * d + m)  # frequencies + phases
-    counter.alloc(m)  # lifted-row buffer
+    counter.alloc(ell * d + ell * m)  # input block + its lift
     sketch = FdSketch(ell, m, counter=counter)
 
-    sketch.insert(fm.apply(first))
-    n_seen = 1
+    block = np.empty((ell, d))
+    block[0] = first
+    held = 1
     for i, row in enumerate(iterator, start=1):
-        vec = as_vector(row, f"stream point {i}")
+        vec = np.asarray(row, dtype=np.float64).ravel()
         if vec.size != d:
+            # report errors in stream order: earlier rows, then this one
+            _check_finite(block[:held], sketch.inserted)
+            as_vector(row, f"stream point {i}")
             raise ContractViolationError(
                 f"stream point {i} has dimension {vec.size}, expected {d}"
             )
-        sketch.insert(fm.apply(vec))
-        n_seen += 1
+        block[held] = vec
+        held += 1
+        if held == ell:
+            _check_finite(block, sketch.inserted)
+            sketch.insert(fm.apply_batch(block))
+            held = 0
+    if held:
+        _check_finite(block[:held], sketch.inserted)
+        sketch.insert(fm.apply_batch(block[:held]))
 
     counter.alloc(ell * m + ell**2 + ell)  # final basis SVD temporaries
     w, s = sketch.basis()
-    return SkpcaModel(fm=fm, w=w, s=s, n_seen=n_seen, peak_entries=counter.peak)
+    return SkpcaModel(fm=fm, w=w, s=s, n_seen=sketch.inserted, peak_entries=counter.peak)
+
+
+def _check_finite(block: np.ndarray, first_index: int) -> None:
+    """Name the first stream point of a block that has a non-finite entry."""
+    bad = ~np.isfinite(block).all(axis=1)
+    if bad.any():
+        i = first_index + int(np.argmax(bad))
+        raise ContractViolationError(f"stream point {i} contains non-finite entries")
 
 
 def space_entries(m: int, ell: int, d: int) -> int:

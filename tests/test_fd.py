@@ -6,6 +6,7 @@ from stream_kpca import (
     ContractViolationError,
     EntryCounter,
     FdSketch,
+    NumericalFailureError,
 )
 
 
@@ -73,6 +74,29 @@ class TestInsert:
         sk = FdSketch(2, 4)
         with pytest.raises(ContractViolationError):
             sk.insert(np.array([1.0, np.inf, 0.0, 0.0]))
+
+    def test_block_rejects_wrong_width(self):
+        sk = FdSketch(2, 4)
+        with pytest.raises(ContractViolationError):
+            sk.insert(np.ones((3, 5)))
+
+    def test_block_rejects_non_finite(self):
+        sk = FdSketch(2, 4)
+        block = np.ones((3, 4))
+        block[2, 1] = np.nan
+        with pytest.raises(ContractViolationError):
+            sk.insert(block)
+        assert sk.inserted == 0  # validated before any row is written
+
+    def test_eigensolver_failure_is_numerical_failure(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        sk = FdSketch(2, 4)
+        sk.insert(np.ones(4))
+        with pytest.raises(NumericalFailureError):
+            sk.insert(np.ones(4))
 
     def test_zero_row_consumes_slot(self):
         sk = FdSketch(4, 6)

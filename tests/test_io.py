@@ -14,6 +14,7 @@ from stream_kpca import (
     train,
 )
 from stream_kpca.dataio import (
+    CHUNK_LINES,
     count_csv_rows,
     iter_csv_rows,
     read_matrix_csv,
@@ -76,6 +77,96 @@ class TestCsv:
         rows = iter_csv_rows(path)
         assert np.array_equal(next(rows), [0.0, 1.0])
         assert count_csv_rows(path) == 4
+
+
+def per_line_rows(path, *, drop_first_col=False, header=False):
+    """Reference reader: every line through float(), one at a time."""
+    width = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if header and lineno == 1:
+                continue
+            text = line.strip()
+            if not text:
+                raise ContractViolationError(f"{path}: line {lineno}: blank line")
+            fields = text.split(",")
+            if drop_first_col:
+                fields = fields[1:]
+            if not fields:
+                raise ContractViolationError(f"{path}: line {lineno}: no numeric columns left")
+            try:
+                row = np.array([float(f) for f in fields])
+            except ValueError:
+                raise ContractViolationError(f"{path}: line {lineno}: non-numeric field") from None
+            if not np.all(np.isfinite(row)):
+                raise ContractViolationError(f"{path}: line {lineno}: non-finite value")
+            if width is None:
+                width = row.size
+            elif row.size != width:
+                raise ContractViolationError(
+                    f"{path}: line {lineno}: expected {width} columns, got {row.size}"
+                )
+            yield row
+
+
+def drain(rows):
+    """Rows yielded before the reader stopped, and the error it stopped with."""
+    out = []
+    try:
+        for row in rows:
+            out.append(row)
+    except ContractViolationError as exc:
+        return out, str(exc)
+    return out, None
+
+
+ANOMALIES = {
+    "none": lambda fields: fields,
+    "non-numeric": lambda fields: [fields[0], "oops", *fields[2:]],
+    "ragged": lambda fields: fields[:-1],
+    "wide": lambda fields: [*fields, "1.0"],
+    "blank": lambda fields: [],
+    "inf": lambda fields: ["inf", *fields[1:]],
+    "nan": lambda fields: [*fields[:-1], "nan"],
+    "underscore": lambda fields: ["1_0", *fields[1:]],  # float() accepts, loadtxt does not
+    "trailing-comma": lambda fields: [*fields, ""],
+}
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("n", [CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1])
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("drop_first_col", [False, True])
+    def test_matches_per_line_parser(self, tmp_path, n, header, drop_first_col):
+        values = np.random.default_rng(n).standard_normal((n, 3)) * np.logspace(-8, 8, 3)
+        fields = [[format(v, ".17g") for v in row] for row in values]
+        # first and last data line of each chunk, and the file's last line
+        spots = sorted({0, CHUNK_LINES - 1, CHUNK_LINES, n - 1} & set(range(n)))
+        path = tmp_path / "data.csv"
+        for name, anomaly in ANOMALIES.items():
+            for spot in spots if name != "none" else [0]:
+                lines = ["c0,c1,c2"] if header else []
+                for i, row in enumerate(fields):
+                    row = anomaly(row) if i == spot and name != "none" else row
+                    label = [f"r{i}"] if drop_first_col and row else []
+                    lines.append(",".join(label + row))
+                path.write_text("\n".join(lines) + "\n")
+                case = f"{name} at data line {spot}"
+                opts = dict(drop_first_col=drop_first_col, header=header)
+                got_rows, got_err = drain(iter_csv_rows(path, **opts))
+                want_rows, want_err = drain(per_line_rows(path, **opts))
+                assert got_err == want_err, case
+                assert len(got_rows) == len(want_rows), case
+                for got, want in zip(got_rows, want_rows):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), case
+                if name == "none":
+                    assert np.array_equal(np.vstack(got_rows), values)
+
+    def test_rows_are_independent_of_the_chunk(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_matrix_csv(path, np.arange(6.0).reshape(3, 2))
+        rows = list(iter_csv_rows(path))
+        assert all(row.base is None for row in rows)
 
 
 @pytest.fixture

@@ -85,6 +85,12 @@ class TestApplyBatch:
         x = np.array([0.1, -2.0, 0.5])
         assert np.allclose(fm.apply_batch(x[None, :])[0], fm.apply(x), atol=1e-14)
 
+    def test_in_place_batch_is_the_closed_form(self):
+        # the in-place steps give bit for bit scale * cos(A R^T + gamma)
+        fm = sample_feature_map(KernelSpec(sigma=2.0), m=64, d=4, seed=7)
+        a = np.random.default_rng(8).standard_normal((33, 4))
+        assert np.array_equal(fm.apply_batch(a), fm.scale * np.cos(a @ fm.r.T + fm.gamma))
+
     def test_frobenius_mass_bound(self):
         fm = sample_feature_map(KernelSpec(), m=32, d=5, seed=8)
         rng = np.random.default_rng(9)

@@ -8,11 +8,13 @@ from conftest import gaussian_mixture
 from stream_kpca import (
     ConfigurationError,
     ContractViolationError,
+    FdSketch,
     KernelSpec,
     SkpcaConfig,
     derive_feature_count,
     derive_sketch_size,
     gram,
+    sample_feature_map,
     space_entries,
     spectral_norm,
     train,
@@ -80,6 +82,36 @@ class TestTrain:
         rows = [np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(4)]
         with pytest.raises(ContractViolationError, match="stream point 3"):
             train(make_config(m=16, ell=4), iter(rows))
+
+    @pytest.mark.parametrize("bad", [1, 3, 4, 6])
+    def test_non_finite_point_names_index(self, bad):
+        # ell=4: points 1 and 3 fall in the first block, 4 and 6 in the last, partial one
+        rows = [np.ones(3) for _ in range(7)]
+        rows[bad] = np.array([1.0, np.nan, 0.0])
+        with pytest.raises(ContractViolationError, match=f"stream point {bad} contains"):
+            train(make_config(m=16, ell=4), iter(rows))
+
+    def test_earlier_non_finite_point_reported_before_dimension_drift(self):
+        rows = [np.ones(3), np.array([np.inf, 0.0, 0.0]), np.ones(4)]
+        with pytest.raises(ContractViolationError, match="stream point 1 contains"):
+            train(make_config(m=16, ell=4), iter(rows))
+
+    def test_train_is_blockwise_lift_into_sketch(self):
+        # 37 points = 9 full blocks of ell=4 and a partial one
+        data = gaussian_mixture(37, 3, seed=13)
+        cfg = make_config(m=32, ell=4)
+        model = train(cfg, iter(list(data)))
+        fm = sample_feature_map(cfg.kernel, 32, 3, cfg.seed)
+        sk = FdSketch(4, 32)
+        for lo in range(0, 37, 4):
+            sk.insert(fm.apply_batch(data[lo : lo + 4]))
+        w, s = sk.basis()
+        assert np.array_equal(model.w, w) and np.array_equal(model.s, s)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+    def test_n_seen_counts_partial_blocks(self, n):
+        model = train(make_config(m=16, ell=4), gaussian_mixture(n, 3, seed=12))
+        assert model.n_seen == n
 
     def test_eps_mode_needs_sized_stream(self):
         cfg = SkpcaConfig(kernel=KernelSpec(), seed=0, eps=0.5, delta=0.1)
