@@ -25,7 +25,15 @@ from .evaluation import (
 )
 from .fd import FdSketch
 from .kernels import KernelSpec, best_rank_k, cross_gram, eval_kernel, gram
-from .numerics import SvdResult, pinv, spectral_norm, sym_eig, thin_svd
+from .numerics import (
+    SvdResult,
+    pinv,
+    spectral_norm,
+    sym_eig,
+    sym_eig_top,
+    sym_spectral_norm,
+    thin_svd,
+)
 from .persist import load_model, save_model
 from .rff import FeatureMap, sample_feature_map
 from .skpca import (
@@ -79,6 +87,8 @@ __all__ = [
     "spectral_error",
     "spectral_norm",
     "sym_eig",
+    "sym_eig_top",
+    "sym_spectral_norm",
     "thin_svd",
     "train",
     "write_reports_csv",

@@ -21,7 +21,7 @@ import numpy as np
 from .counters import EntryCounter
 from .errors import ContractViolationError
 from .kernels import KernelSpec, cross_gram, gram
-from .numerics import MACHINE_EPS, as_matrix, as_vector, sym_eig
+from .numerics import MACHINE_EPS, as_matrix, as_vector, factor_gram, sym_eig
 from .rff import FeatureMap
 
 
@@ -40,21 +40,17 @@ class RncaModel:
     def m(self) -> int:
         return self.fm.m
 
-    def reconstruct(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
-        """Evaluation-only gram reconstruction Z V_k V_k^T Z^T; k = m gives Z Z^T."""
+    def gram_factor(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
+        """The (n, k) factor Z V_k of the reconstructed gram; k = m gives Z Z^T."""
         if k is None:
             k = self.m
         if not 1 <= k <= self.m:
             raise ContractViolationError(f"k must be in [1, {self.m}], got {k}")
-        arr = as_matrix(a, "data matrix")
-        n = arr.shape[0]
-        vk = self.eigvecs[:, :k]
-        t = np.empty((n, k))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            t[start:stop] = self.fm.apply_batch(arr[start:stop]) @ vk
-        g = t @ t.T
-        return (g + g.T) / 2.0
+        return self.fm.project_batch(a, self.eigvecs[:, :k], chunk)
+
+    def reconstruct(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
+        """Evaluation-only gram reconstruction Z V_k V_k^T Z^T; k = m gives Z Z^T."""
+        return factor_gram(self.gram_factor(a, k, chunk))
 
     def test(self, x, k: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Lift a point and project onto the top-k covariance eigenspace.
@@ -168,11 +164,8 @@ class NystromModel:
         counter.alloc(c * c + c)
         counter.free(c * c)  # W released once decomposed
         del w_mat
-        # pinv of the rank-k truncation, straight from the eigenpairs:
-        # eigenvalues at or below the relative cutoff invert to zero
-        cutoff = c * MACHINE_EPS * max(eigvals[0], 0.0)
-        lam = eigvals[:k]
-        inv = np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
+        # pinv of the rank-k truncation, straight from the eigenpairs
+        inv = _truncated_inverse(eigvals, k)
         vk = eigvecs[:, :k]
         counter.alloc(c * k)
         scaled = vk * inv
@@ -215,12 +208,31 @@ class NystromModel:
         vk = self.eigvecs[:, : self.k]
         return float(np.linalg.norm(c_row - vk @ (vk.T @ c_row)))
 
-    def reconstruct(self, a) -> np.ndarray:
-        """Evaluation-only reconstruction C @ pinv(W_k) @ C.T."""
+    def gram_factor(self, a) -> np.ndarray:
+        """The (n, k) factor C V_k diag(sqrt(inv)) of C pinv(W_k) C^T.
+
+        inv holds 1/lambda_i for the k leading eigenvalues of W, zero at or
+        below the cutoff, as in `wk_pinv`; those columns of the factor are zero.
+        """
         arr = as_matrix(a, "data matrix")
         c_mat = cross_gram(self.kernel, arr, self.samples)
-        g = c_mat @ self.wk_pinv @ c_mat.T
-        return (g + g.T) / 2.0
+        inv = _truncated_inverse(self.eigvals, self.k)
+        return c_mat @ (self.eigvecs[:, : self.k] * np.sqrt(inv))
+
+    def reconstruct(self, a) -> np.ndarray:
+        """Evaluation-only reconstruction C @ pinv(W_k) @ C.T."""
+        return factor_gram(self.gram_factor(a))
+
+
+def _truncated_inverse(eigvals: np.ndarray, k: int) -> np.ndarray:
+    """1/lambda_i for the k leading eigenvalues of a c x c kernel matrix.
+
+    Eigenvalues at or below the relative cutoff c * machine epsilon *
+    lambda_1 invert to zero, the rank-revealing choice of `pinv`.
+    """
+    cutoff = eigvals.size * MACHINE_EPS * max(eigvals[0], 0.0)
+    lam = eigvals[:k]
+    return np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
 
 
 def reservoir_sample(

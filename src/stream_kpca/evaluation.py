@@ -4,8 +4,10 @@ The two gram-error measures follow the normalization that makes them
 comparable across data sets: spectral error ||G - G'||_2 / n (worst case)
 and Frobenius error ||G - G'||_F / n^2 (global). The benchmark grid trains
 each (method, config) cell on the data, times train and per-point test
-work, reconstructs the cell's gram approximation, and scores it against
-the exact gram oracle.
+work, and scores the cell's gram approximation G' = F F^T against the exact
+gram oracle G from its thin (n, r) factor F: the oracle's spectrum is
+computed once per run, the spectral error is a Lanczos iteration on
+G - F F^T, and the best rank-k part of G' comes from a thin SVD of F.
 
 The exact oracle materializes an n x n matrix, so the harness refuses
 n > 5000 by default; the STREAM_KPCA_ORACLE_MAX_N environment variable
@@ -26,7 +28,7 @@ import numpy as np
 from . import baselines, skpca
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .kernels import KernelSpec, gram
-from .numerics import as_matrix, spectral_norm, sym_eig
+from .numerics import as_matrix, factor_gram, sym_eig_top, sym_spectral_norm, thin_svd
 from .rff import sample_feature_map
 from .seeds import substream_seed
 
@@ -65,11 +67,39 @@ def _check_pair(g, gp, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     return ga, gpa
 
 
+def _sym_diff(ga: np.ndarray, gpa: np.ndarray) -> np.ndarray:
+    """G - G', symmetrized; a no-op on exactly symmetric pairs."""
+    diff = ga - gpa
+    return (diff + diff.T) / 2.0
+
+
+def _spectrum(ga: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the exact gram, non-increasing."""
+    return np.linalg.eigvalsh((ga + ga.T) / 2.0)[::-1]
+
+
+def _rank_k_rhs(lhs: float, spectrum: np.ndarray, spectral: float, k: int) -> float:
+    """The bound ||G - G_k||_F + ||G - G'||_2 * sqrt(k) on lhs = ||G - G'_k||_F.
+
+    `spectrum` is the exact gram's non-increasing spectrum and `spectral`
+    the measured ||G - G'||_2. Raises NumericalFailureError if lhs exceeds
+    the bound beyond 1e-6 * n slack.
+    """
+    n = spectrum.size
+    base = float(np.sqrt(max(np.sum(spectrum[k:] ** 2), 0.0)))
+    rhs = base + spectral * math.sqrt(k)
+    if lhs > rhs + 1e-6 * n:
+        raise NumericalFailureError(
+            f"rank-{k} Frobenius bound violated: lhs={lhs:.6e} > rhs={rhs:.6e}"
+        )
+    return rhs
+
+
 def spectral_error(g, gp) -> float:
     """Worst-case error ||G - G'||_2 / n."""
     ga, gpa = _check_pair(g, gp, symmetric=True)
     n = ga.shape[0]
-    return spectral_norm(ga - gpa) / n
+    return sym_spectral_norm(_sym_diff(ga, gpa)) / n
 
 
 def frobenius_error(g, gp) -> float:
@@ -92,19 +122,35 @@ def rank_k_frobenius_check(g, gp, k: int, spectral: float | None = None) -> tupl
     if not 1 <= k <= n:
         raise ContractViolationError(f"k must be in [1, {n}], got {k}")
     if spectral is None:
-        spectral = spectral_norm(ga - gpa)
-    wp, vp = sym_eig(gpa)
-    vk = vp[:, :k]
-    gp_k = (vk * wp[:k]) @ vk.T
-    lhs = float(np.linalg.norm(ga - gp_k))
-    wg = np.linalg.eigvalsh((ga + ga.T) / 2.0)[::-1]
-    base = float(np.sqrt(max(np.sum(wg[k:] ** 2), 0.0)))
-    rhs = base + spectral * math.sqrt(k)
-    if lhs > rhs + 1e-6 * n:
-        raise NumericalFailureError(
-            f"rank-{k} Frobenius bound violated: lhs={lhs:.6e} > rhs={rhs:.6e}"
-        )
-    return lhs, rhs
+        spectral = sym_spectral_norm(_sym_diff(ga, gpa))
+    wp, vk = sym_eig_top(gpa, k)
+    lhs = float(np.linalg.norm(ga - (vk * wp) @ vk.T))
+    return lhs, _rank_k_rhs(lhs, _spectrum(ga), spectral, k)
+
+
+def _score_factor(
+    g_exact: np.ndarray, spectrum: np.ndarray | None, f: np.ndarray, k: int | None
+) -> tuple[float, float, float | None]:
+    """(spectral, Frobenius, rank-k Frobenius) errors of G' = F F^T, normalized.
+
+    G is symmetric by construction and F F^T is symmetrized, so the
+    difference is scored without the dense API's symmetry scans. G'_k =
+    U_k S_k^2 U_k^T from the thin SVD F = U S V^T, with k capped at the
+    factor's width r; these are the top-k eigenpairs of the PSD G'. The
+    rank-k score is computed when the run's `spectrum` is given.
+    """
+    n = g_exact.shape[0]
+    diff = g_exact - factor_gram(f)
+    spectral = sym_spectral_norm(diff)
+    frobenius = float(np.linalg.norm(diff))
+    rank_k = None
+    if spectrum is not None:
+        u, s, _ = thin_svd(f)
+        t = u[:, :k] * s[:k]
+        lhs = float(np.linalg.norm(g_exact - t @ t.T))
+        _rank_k_rhs(lhs, spectrum, spectral, k)
+        rank_k = lhs / n**2
+    return spectral / n, frobenius / n**2, rank_k
 
 
 @dataclass(frozen=True)
@@ -235,6 +281,7 @@ def _run_cell(
     data: np.ndarray,
     test_set: np.ndarray,
     g_exact: np.ndarray,
+    g_spectrum: np.ndarray | None,
     k: int | None,
     kernel: KernelSpec,
     cell_seed: int,
@@ -251,7 +298,7 @@ def _run_cell(
             for row in test_set:
                 model.project_test(row, k_test)
 
-        gp = model.reconstruct_gram(data)
+        factor = model.gram_factor(data)
         space = skpca.space_entries(cell.m, cell.ell, d)
     elif cell.method == "rnca":
         fm = sample_feature_map(kernel, cell.m, d, cell_seed)
@@ -262,7 +309,7 @@ def _run_cell(
             for row in test_set:
                 model.test(row, k_test)
 
-        gp = model.reconstruct(data, k=cell.k)
+        factor = model.gram_factor(data, k=cell.k)
         space = baselines.rnca_space_entries(cell.m, d)
     else:
         k_model = cell.k if cell.k is not None else cell.c
@@ -275,17 +322,11 @@ def _run_cell(
             for row in test_set:
                 model.test(row)
 
-        gp = model.reconstruct(data)
+        factor = model.gram_factor(data)
         space = baselines.nystrom_space_entries(cell.c, d)
 
     test_seconds, _ = _median_time(test_pass, timing_reps)
-
-    spec_err = spectral_error(g_exact, gp)
-    frob_err = frobenius_error(g_exact, gp)
-    rank_k = None
-    if k is not None and 1 <= k <= n:
-        lhs, _ = rank_k_frobenius_check(g_exact, gp, k, spectral=spec_err * n)
-        rank_k = lhs / n**2
+    spec_err, frob_err, rank_k = _score_factor(g_exact, g_spectrum, factor, k)
 
     return ErrorReport(
         method=cell.method,
@@ -325,7 +366,8 @@ def run_benchmark(
     Each cell owns an RNG stream derived from (seed, cell index), so the
     grid is reproducible cell-by-cell regardless of execution order; cells
     are independent and fan out over `jobs` worker threads with an
-    order-preserving merge.
+    order-preserving merge. The oracle gram and, when a rank k is scored,
+    its spectrum are computed once, before the cells fan out.
     """
     if not grid:
         return []
@@ -344,11 +386,14 @@ def run_benchmark(
             f"or raise {ORACLE_MAX_N_ENV}"
         )
     g_exact = gram(kernel, arr)
+    g_spectrum = _spectrum(g_exact) if k is not None and 1 <= k <= n else None
 
     def job(item):
         idx, cell = item
         cell_seed = substream_seed(seed, "benchmark_cell", idx)
-        return _run_cell(cell, arr, tst, g_exact, k, kernel, cell_seed, timing_reps)
+        return _run_cell(
+            cell, arr, tst, g_exact, g_spectrum, k, kernel, cell_seed, timing_reps
+        )
 
     items = list(enumerate(grid))
     if jobs <= 1:

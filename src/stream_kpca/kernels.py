@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConfigurationError, ContractViolationError
-from .numerics import as_matrix, as_vector, sym_eig
+from .numerics import as_matrix, as_vector, sym_eig_top
 
 KERNEL_FAMILIES = ("gaussian",)
 
@@ -78,14 +78,13 @@ def cross_gram(spec: KernelSpec, a, b) -> np.ndarray:
 def best_rank_k(g, k: int) -> np.ndarray:
     """Best rank-k approximation of a symmetric PSD gram matrix.
 
-    Truncates the eigendecomposition to the k leading eigenpairs, which
-    minimizes the Frobenius distance over all matrices of rank <= k.
+    Keeps the k leading eigenpairs, which minimizes the Frobenius distance
+    over all matrices of rank <= k; only those k are computed.
     """
     arr = as_matrix(g, "gram matrix")
     n = arr.shape[0]
     if not 1 <= k <= n:
         raise ContractViolationError(f"rank k must be in [1, {n}], got {k}")
-    w, v = sym_eig(arr)
-    vk = v[:, :k]
-    gk = (vk * w[:k]) @ vk.T
+    w, vk = sym_eig_top(arr, k)
+    gk = (vk * w) @ vk.T
     return (gk + gk.T) / 2.0

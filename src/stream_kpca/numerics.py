@@ -1,9 +1,11 @@
-"""Dense linear-algebra kernel: thin SVD, symmetric eigendecomposition,
-Moore-Penrose pseudoinverse, and a power-iteration spectral norm.
+"""Dense linear-algebra kernel: thin SVD, symmetric eigendecomposition
+(full or top-k), Moore-Penrose pseudoinverse, a Lanczos spectral norm for
+symmetric matrices and a power-iteration spectral norm for general ones.
 
-Factorizations delegate to LAPACK (via numpy). The spectral norm is a
-hand-rolled power iteration on the normal matrix so that the dense
-eigensolver stays available as an independent cross-check.
+Factorizations delegate to LAPACK (via numpy and scipy). The symmetric
+spectral norm runs ARPACK's Lanczos iteration to machine precision, which
+is what the error measures use; the power iteration stays available for
+non-symmetric inputs and as an independent cross-check.
 
 All functions are pure: no shared mutable state, safe to call concurrently.
 """
@@ -13,6 +15,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import ContractViolationError, NumericalFailureError
 
@@ -20,6 +24,8 @@ MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 POWER_ITER_TOL = 1e-6
 POWER_ITER_CAP = 10_000
+
+LANCZOS_SEED = 0  # seeds the fixed Lanczos start vector, so results repeat
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -70,6 +76,21 @@ def thin_svd(a) -> SvdResult:
     return SvdResult(u=u, s=s, v=vt.T)
 
 
+def _symmetrized(g, name: str) -> np.ndarray:
+    """(g + g.T) / 2 after checking g is square and symmetric to 1e-10 * ||g||_F."""
+    arr = as_matrix(g, f"{name} input")
+    n, m = arr.shape
+    if n != m:
+        raise ContractViolationError(f"{name} needs a square matrix, got {arr.shape}")
+    scale = float(np.linalg.norm(arr))
+    asym = float(np.linalg.norm(arr - arr.T))
+    if asym > 1e-10 * max(scale, 1e-300):
+        raise ContractViolationError(
+            f"matrix is not symmetric: ||g - g.T||_F = {asym:.3e} vs ||g||_F = {scale:.3e}"
+        )
+    return (arr + arr.T) / 2.0
+
+
 def sym_eig(g) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
@@ -79,23 +100,39 @@ def sym_eig(g) -> tuple[np.ndarray, np.ndarray]:
     before decomposing, since floating-point construction of gram matrices
     breaks exact symmetry.
     """
-    arr = as_matrix(g, "sym_eig input")
-    n, m = arr.shape
-    if n != m:
-        raise ContractViolationError(f"sym_eig needs a square matrix, got {arr.shape}")
-    scale = float(np.linalg.norm(arr))
-    asym = float(np.linalg.norm(arr - arr.T))
-    if asym > 1e-10 * max(scale, 1e-300):
-        raise ContractViolationError(
-            f"matrix is not symmetric: ||g - g.T||_F = {asym:.3e} vs ||g||_F = {scale:.3e}"
-        )
-    sym = (arr + arr.T) / 2.0
+    sym = _symmetrized(g, "sym_eig")
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition did not converge: {exc}") from exc
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
+
+
+def sym_eig_top(g, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k algebraically largest eigenpairs of a symmetric matrix.
+
+    Same contract as `sym_eig` (symmetry check, non-increasing signed
+    eigenvalues, orthonormal eigenvector columns), but LAPACK computes only
+    the requested eigenpairs, which costs far less than the full
+    decomposition when k is small.
+    """
+    sym = _symmetrized(g, "sym_eig_top")
+    n = sym.shape[0]
+    if not 1 <= k <= n:
+        raise ContractViolationError(f"k must be in [1, {n}], got {k}")
+    try:
+        w, v = scipy.linalg.eigh(sym, subset_by_index=[n - k, n - 1])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition did not converge: {exc}") from exc
+    return w[::-1], v[:, ::-1]
+
+
+def factor_gram(f) -> np.ndarray:
+    """F F^T for an (n, r) factor, symmetrized so the result is exactly symmetric."""
+    arr = as_matrix(f, "gram factor")
+    g = arr @ arr.T
+    return (g + g.T) / 2.0
 
 
 def pinv(a, rtol: float | None = None) -> np.ndarray:
@@ -164,3 +201,27 @@ def spectral_norm(a) -> float:
     raise NumericalFailureError(
         f"power iteration did not converge within {POWER_ITER_CAP} iterations"
     )
+
+
+def sym_spectral_norm(a) -> float:
+    """Largest |eigenvalue| of a symmetric matrix, by Lanczos iteration.
+
+    The caller guarantees symmetry: ARPACK reads the whole matrix through
+    matrix-vector products and assumes a = a.T. The iteration runs to
+    machine precision (tol=0) from a fixed seeded Gaussian start vector, so
+    the result repeats exactly and does not read low the way a stopped power
+    iteration can. A zero matrix returns 0.0; n = 1, which ARPACK refuses,
+    takes the dense eigensolver.
+    """
+    arr = as_matrix(a, "sym_spectral_norm input")
+    n = arr.shape[0]
+    if float(np.linalg.norm(arr)) == 0.0:
+        return 0.0
+    if n < 2:
+        return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    try:
+        w = eigsh(arr, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise NumericalFailureError(f"Lanczos iteration failed: {exc}") from exc
+    return abs(float(w[0]))

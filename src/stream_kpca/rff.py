@@ -66,6 +66,20 @@ class FeatureMap:
         out *= self.scale
         return out
 
+    def project_batch(self, a, basis: np.ndarray, chunk: int = 256) -> np.ndarray:
+        """Lift each row of an (n, d) matrix and project it onto the columns of
+        an (m, r) basis; returns Z @ basis, shape (n, r).
+
+        Lifts `chunk` rows at a time, so the n x m lift never exists whole.
+        """
+        arr = as_matrix(a, "data matrix")
+        n = arr.shape[0]
+        out = np.empty((n, basis.shape[1]))
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            out[start:stop] = self.apply_batch(arr[start:stop]) @ basis
+        return out
+
 
 def sample_feature_map(spec: KernelSpec, m: int, d: int, seed: int) -> FeatureMap:
     """Draw a fresh feature map for the given kernel.

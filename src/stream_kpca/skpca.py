@@ -22,7 +22,7 @@ from .counters import EntryCounter
 from .errors import ConfigurationError, ContractViolationError
 from .fd import FdSketch
 from .kernels import KernelSpec
-from .numerics import as_matrix, as_vector
+from .numerics import as_vector, factor_gram
 from .rff import FeatureMap, sample_feature_map
 
 
@@ -132,20 +132,16 @@ class SkpcaModel:
         residual = float(np.linalg.norm(lifted - wk @ loading))
         return lifted, loading, residual
 
-    def reconstruct_gram(self, a, chunk: int = 256) -> np.ndarray:
-        """Evaluation-only gram reconstruction G~ = (ZW)(ZW)^T.
+    def gram_factor(self, a, chunk: int = 256) -> np.ndarray:
+        """The (n, ell) factor ZW of the reconstructed gram (ZW)(ZW)^T.
 
-        Goes through the n x ell intermediate ZW, never the n x m pair, so
-        only one chunk of lifted rows exists at a time.
+        Lifts `chunk` rows at a time, so the n x m lift never exists whole.
         """
-        arr = as_matrix(a, "data matrix")
-        n = arr.shape[0]
-        t = np.empty((n, self.ell))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            t[start:stop] = self.fm.apply_batch(arr[start:stop]) @ self.w
-        g = t @ t.T
-        return (g + g.T) / 2.0
+        return self.fm.project_batch(a, self.w, chunk)
+
+    def reconstruct_gram(self, a, chunk: int = 256) -> np.ndarray:
+        """Evaluation-only gram reconstruction G~ = (ZW)(ZW)^T."""
+        return factor_gram(self.gram_factor(a, chunk))
 
 
 def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:

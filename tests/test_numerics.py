@@ -3,11 +3,15 @@ import pytest
 
 from stream_kpca import (
     ContractViolationError,
+    NumericalFailureError,
     pinv,
     spectral_norm,
     sym_eig,
+    sym_eig_top,
+    sym_spectral_norm,
     thin_svd,
 )
+from stream_kpca import numerics
 
 
 class TestThinSvd:
@@ -149,3 +153,82 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
+
+
+class TestSymEigTop:
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_matches_full_decomposition(self, k):
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((12, 12))
+        a = (a + a.T) / 2.0  # indefinite: order is signed, not by magnitude
+        w_all, v_all = sym_eig(a)
+        w, v = sym_eig_top(a, k)
+        assert w.shape == (k,) and v.shape == (12, k)
+        assert np.allclose(w, w_all[:k], atol=1e-12)
+        assert np.all(np.diff(w) <= 0)
+        # eigenvectors agree up to sign
+        assert np.allclose(np.abs(v.T @ v_all[:, :k]), np.eye(k), atol=1e-8)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ContractViolationError):
+            sym_eig_top(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ContractViolationError):
+            sym_eig_top(np.eye(3), k)
+
+    def test_lapack_failure_is_numerical(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(numerics.scipy.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailureError):
+            sym_eig_top(np.eye(3), 2)
+
+
+class TestSymSpectralNorm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 30])
+    def test_matches_dense_eigensolver(self, n):
+        rng = np.random.default_rng(15 + n)
+        a = rng.standard_normal((n, n))
+        a = (a + a.T) / 2.0
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        assert sym_spectral_norm(a) == pytest.approx(dense, rel=1e-12)
+
+    def test_clustered_top_of_both_signs(self):
+        # eigenvalues 1, -0.999, 0.998 on top of a dense spread: an iteration
+        # stopped before machine precision reads low here
+        rng = np.random.default_rng(17)
+        n = 300
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.concatenate([[1.0, -0.999, 0.998], rng.uniform(-0.99, 0.99, n - 3)])
+        a = (q * lam) @ q.T
+        a = (a + a.T) / 2.0
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        assert sym_spectral_norm(a) >= dense * (1 - 1e-12)
+
+    def test_negative_dominant_eigenvalue(self):
+        assert sym_spectral_norm(np.diag([1.0, -4.0, 2.0])) == pytest.approx(4.0, rel=1e-14)
+
+    def test_zero_matrix(self):
+        assert sym_spectral_norm(np.zeros((5, 5))) == 0.0
+
+    def test_start_vector_not_annihilated(self):
+        # the all-ones vector is in this matrix's null space
+        a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert sym_spectral_norm(a) == pytest.approx(2.0, rel=1e-14)
+
+    def test_repeats_exactly(self):
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((40, 40))
+        a = a + a.T
+        assert sym_spectral_norm(a) == sym_spectral_norm(a.copy())
+
+    def test_arpack_failure_is_numerical(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise numerics.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(numerics, "eigsh", fail)
+        with pytest.raises(NumericalFailureError):
+            sym_spectral_norm(np.eye(3) + 1.0)
