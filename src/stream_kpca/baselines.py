@@ -13,20 +13,23 @@ the sampled points.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .counters import EntryCounter
-from .errors import ContractViolationError
+from .errors import ConfigurationError, ContractViolationError
 from .kernels import KernelSpec, cross_gram, gram
 from .numerics import MACHINE_EPS, as_matrix, as_vector, factor_gram, sym_eig
-from .rff import FeatureMap
+from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature_map
+from .skpca import check_eps_delta, derive_feature_count, settle_size
 
 
 @dataclass(frozen=True)
-class RncaModel:
+class RncaModel(FeatureMapModel):
     """Feature-space covariance plus its eigendecomposition; immutable after training."""
 
     fm: FeatureMap
@@ -36,9 +39,49 @@ class RncaModel:
     eigvecs: np.ndarray  # (m, m) orthonormal columns
     peak_entries: int
 
+    method = "rnca"
+    sizes = ("m",)
+
+    @staticmethod
+    def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
+        """Final m, given or derived from (eps, delta) at stream length n."""
+        derived = None if eps is None else derive_feature_count(eps, delta, n)
+        return {"m": settle_size("m", sizes["m"], derived)}
+
+    @staticmethod
+    def fit(kernel: KernelSpec, seed: int, rows: Iterable, m: int) -> "RncaModel":
+        """Train on a row stream; the feature map takes d from the first row."""
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is None:
+            raise ContractViolationError("training stream is empty")
+        fm = sample_feature_map(kernel, m, np.size(first), seed)
+        return rnca_train(fm, itertools.chain([first], rows))
+
+    @classmethod
+    def from_record(cls, kernel: KernelSpec, record: dict) -> "RncaModel":
+        fm = stored_feature_map(kernel, record)
+        cov = np.asarray(record["cov"], dtype=np.float64).reshape(fm.m, fm.m)
+        return cls(fm, cov, record["n_seen"], *sym_eig(cov), record["peak_entries"])
+
+    def record_fields(self) -> dict:
+        return {"m": self.m, "rff_sha256": self.fm.checksum(), "cov": self.cov.tolist()}
+
     @property
     def m(self) -> int:
         return self.fm.m
+
+    @property
+    def ranks(self) -> range:
+        return range(1, self.m + 1)
+
+    @property
+    def space(self) -> int:
+        return rnca_space_entries(self.m, self.d)
+
+    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
+        _, loading, residual = self.test(x, k)
+        return loading, residual
 
     def gram_factor(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
         """The (n, k) factor Z V_k of the reconstructed gram; k = m gives Z Z^T."""
@@ -109,7 +152,8 @@ class NystromModel:
     Stores the sampled points and the eigendecomposition of their kernel
     matrix W (W itself is recomputable from the samples on demand, keeping
     peak memory at the c^2 + cd budget). `wk_pinv` caches pinv(best rank-k
-    of W) for reconstruction.
+    of W) for reconstruction. Implements the model protocol described in
+    `stream_kpca.methods`; the rank k is fixed at train time.
     """
 
     kernel: KernelSpec
@@ -124,13 +168,56 @@ class NystromModel:
     peak_entries: int = 0
     _sqrt_k: np.ndarray = field(init=False, repr=False)
 
+    method = "nystrom"
+    sizes = ("c", "k")
+    seed_stream = "reservoir"
+
     def __post_init__(self) -> None:
         lam = np.maximum(self.eigvals[: self.k], 0.0)
         object.__setattr__(self, "_sqrt_k", np.sqrt(lam))
 
+    @staticmethod
+    def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
+        """Final (c, k); c given or derived from (eps, delta) at length n, k defaults to c."""
+        derived = None if eps is None else derive_sample_count(eps, delta, n)
+        c = settle_size("c", sizes["c"], derived)
+        return {"c": c, "k": c if sizes["k"] is None else sizes["k"]}
+
+    @staticmethod
+    def fit(kernel: KernelSpec, seed: int, rows: Iterable, c: int, k: int) -> "NystromModel":
+        return nystrom_train(kernel, c, k, seed, rows)
+
+    @classmethod
+    def from_record(cls, kernel: KernelSpec, record: dict) -> "NystromModel":
+        samples = np.asarray(record["samples"], dtype=np.float64).reshape(record["c"], record["d"])
+        counts = {name: record[name] for name in ("seed", "n_seen", "replacements")}
+        return cls.from_samples(kernel, samples, record["k"], **counts)
+
+    def record_fields(self) -> dict:
+        fields = {"c": self.c, "k": self.k, "replacements": self.replacements}
+        return {**fields, "samples": self.samples.tolist()}
+
     @property
     def c(self) -> int:
         return self.samples.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def ranks(self) -> range:
+        return range(self.k, self.k + 1)
+
+    @property
+    def space(self) -> int:
+        return nystrom_space_entries(self.c, self.d)
+
+    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
+        if k != self.k:
+            raise ConfigurationError(f"nystrom rank is fixed at train time (k={self.k})")
+        c_row, loading = self.test(x)
+        return loading, self.residual(c_row)
 
     @property
     def w(self) -> np.ndarray:
@@ -208,16 +295,20 @@ class NystromModel:
         vk = self.eigvecs[:, : self.k]
         return float(np.linalg.norm(c_row - vk @ (vk.T @ c_row)))
 
-    def gram_factor(self, a) -> np.ndarray:
-        """The (n, k) factor C V_k diag(sqrt(inv)) of C pinv(W_k) C^T.
+    def gram_factor(self, a, k: int | None = None) -> np.ndarray:
+        """The (n, k) factor C V_k diag(sqrt(inv)) of C pinv(W_k) C^T; k
+        defaults to the model's rank.
 
         inv holds 1/lambda_i for the k leading eigenvalues of W, zero at or
         below the cutoff, as in `wk_pinv`; those columns of the factor are zero.
         """
+        k = self.k if k is None else k
+        if not 1 <= k <= self.c:
+            raise ContractViolationError(f"k must be in [1, {self.c}], got {k}")
         arr = as_matrix(a, "data matrix")
         c_mat = cross_gram(self.kernel, arr, self.samples)
-        inv = _truncated_inverse(self.eigvals, self.k)
-        return c_mat @ (self.eigvecs[:, : self.k] * np.sqrt(inv))
+        inv = _truncated_inverse(self.eigvals, k)
+        return c_mat @ (self.eigvecs[:, :k] * np.sqrt(inv))
 
     def reconstruct(self, a) -> np.ndarray:
         """Evaluation-only reconstruction C @ pinv(W_k) @ C.T."""
@@ -293,6 +384,12 @@ def nystrom_train(
         replacements=int(slot_replacements.sum()),
         counter=counter,
     )
+
+
+def derive_sample_count(eps: float, delta: float, n: int) -> int:
+    """Nystrom sample count c = ceil(ln(2n / delta) / eps^2)."""
+    check_eps_delta(eps, delta)
+    return math.ceil(math.log(2.0 * n / delta) / eps**2)
 
 
 def rnca_space_entries(m: int, d: int) -> int:

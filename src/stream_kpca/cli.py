@@ -9,24 +9,19 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 import time
 
 import numpy as np
 
-from . import baselines, evaluation, skpca
+from . import evaluation
 from .dataio import count_csv_rows, iter_csv_rows, read_matrix_csv, write_matrix_csv
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .kernels import KernelSpec
+from .methods import METHODS, MODELS
 from .persist import load_model, save_model
-from .rff import sample_feature_map
 from .seeds import substream_seed
-from .skpca import SkpcaConfig, SkpcaModel, derive_feature_count, derive_sketch_size
-from .baselines import NystromModel, RncaModel
 from .synthetic import SyntheticSpec, gen_random_noisy
-
-METHODS = ("skpca", "rnca", "nystrom")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,9 +114,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _input_rows(args):
-    return iter_csv_rows(
-        args.input, drop_first_col=args.drop_first_col, header=args.header
-    )
+    return iter_csv_rows(args.input, drop_first_col=args.drop_first_col, header=args.header)
 
 
 def _mean_pass(args) -> tuple[np.ndarray, int]:
@@ -135,11 +128,6 @@ def _mean_pass(args) -> tuple[np.ndarray, int]:
     return total / count, count
 
 
-def _centered(rows, center):
-    for row in rows:
-        yield row - center
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigurationError(message)
@@ -147,158 +135,63 @@ def _require(condition: bool, message: str) -> None:
 
 def cmd_train(args) -> int:
     kernel = KernelSpec(sigma=args.sigma)
-    eps_mode = args.eps is not None or args.delta is not None
-    if eps_mode:
-        _require(
-            args.eps is not None and args.delta is not None,
-            "--eps and --delta must be given together",
-        )
+    _require(
+        (args.eps is None) == (args.delta is None), "--eps and --delta must be given together"
+    )
+    model_cls = MODELS[args.method]
+    for name in ("m", "ell", "c", "k"):
+        if name not in model_cls.sizes:
+            _require(getattr(args, name) is None, f"--{name} does not apply to {args.method}")
 
-    center = None
-    n_known = None
+    center = n_known = None
     if args.center:
         center, n_known = _mean_pass(args)
-    elif eps_mode:
+    elif args.eps is not None:
         # the (eps, delta) bounds depend on n: one extra counting pass
         n_known = count_csv_rows(args.input, header=args.header)
         _require(n_known > 0, f"{args.input}: no data rows")
+    given = {name: getattr(args, name) for name in model_cls.sizes}
+    sizes = model_cls.resolve(given, args.eps, args.delta, n_known)
 
-    def rows():
-        base = _input_rows(args)
-        return _centered(base, center) if center is not None else base
-
-    fm_seed = substream_seed(args.seed, "feature_map")
+    rows = _input_rows(args)
+    if center is not None:
+        rows = (row - center for row in rows)
+    seed = substream_seed(args.seed, model_cls.seed_stream)
     start = time.perf_counter()
-
-    if args.method == "skpca":
-        _require(args.c is None and args.k is None, "--c/--k do not apply to skpca")
-        m, ell = args.m, args.ell
-        if eps_mode:
-            derived_m = derive_feature_count(args.eps, args.delta, n_known)
-            derived_ell = derive_sketch_size(args.eps)
-            _require(m is None or m == derived_m, f"--m conflicts with derived m={derived_m}")
-            _require(
-                ell is None or ell == derived_ell,
-                f"--ell conflicts with derived ell={derived_ell}",
-            )
-            m, ell = derived_m, derived_ell
-        _require(m is not None and ell is not None, "skpca needs --m and --ell (or --eps/--delta)")
-        config = SkpcaConfig(kernel=kernel, seed=fm_seed, m=m, ell=ell)
-        model = skpca.train(config, rows())
-        elapsed = time.perf_counter() - start
-        save_model(model, args.output, center=center)
-        print(
-            f"trained method=skpca n={model.n_seen} d={model.fm.d} m={m} ell={ell} "
-            f"seconds={elapsed:.6f} "
-            f"space_entries={skpca.space_entries(m, ell, model.fm.d)}"
-        )
-    elif args.method == "rnca":
-        _require(
-            args.ell is None and args.c is None and args.k is None,
-            "--ell/--c/--k do not apply to rnca training (pass --k to test instead)",
-        )
-        m = args.m
-        if eps_mode:
-            derived_m = derive_feature_count(args.eps, args.delta, n_known)
-            _require(m is None or m == derived_m, f"--m conflicts with derived m={derived_m}")
-            m = derived_m
-        _require(m is not None, "rnca needs --m (or --eps/--delta)")
-        iterator = rows()
-        first = next(iter(iterator), None)
-        if first is None:
-            raise ContractViolationError(f"{args.input}: no data rows")
-        fm = sample_feature_map(kernel, m, first.size, fm_seed)
-        model = baselines.rnca_train(fm, itertools.chain([first], iterator))
-        elapsed = time.perf_counter() - start
-        save_model(model, args.output, center=center)
-        print(
-            f"trained method=rnca n={model.n_seen} d={fm.d} m={m} "
-            f"seconds={elapsed:.6f} "
-            f"space_entries={baselines.rnca_space_entries(m, fm.d)}"
-        )
-    else:
-        _require(args.m is None and args.ell is None, "--m/--ell do not apply to nystrom")
-        c = args.c
-        if eps_mode:
-            derived_c = math.ceil(math.log(2.0 * n_known / args.delta) / args.eps**2)
-            _require(c is None or c == derived_c, f"--c conflicts with derived c={derived_c}")
-            c = derived_c
-        _require(c is not None, "nystrom needs --c (or --eps/--delta)")
-        k = args.k if args.k is not None else c
-        model = baselines.nystrom_train(
-            kernel, c, k, substream_seed(args.seed, "reservoir"), rows()
-        )
-        elapsed = time.perf_counter() - start
-        save_model(model, args.output, center=center)
-        d = model.samples.shape[1]
-        print(
-            f"trained method=nystrom n={model.n_seen} d={d} c={c} k={k} "
-            f"seconds={elapsed:.6f} "
-            f"space_entries={baselines.nystrom_space_entries(c, d)}"
-        )
+    model = model_cls.fit(kernel, seed, rows, **sizes)
+    elapsed = time.perf_counter() - start
+    save_model(model, args.output, center=center)
+    shown = " ".join(f"{name}={value}" for name, value in sizes.items())
+    print(
+        f"trained method={args.method} n={model.n_seen} d={model.d} {shown} "
+        f"seconds={elapsed:.6f} space_entries={model.space}"
+    )
     return 0
 
 
 def cmd_test(args) -> int:
     model, center = load_model(args.model)
-    if isinstance(model, SkpcaModel):
-        d = model.fm.d
-        k = args.k if args.k is not None else model.ell
-
-        def project(x):
-            _, loading, residual = model.project_test(x, k)
-            return loading, residual
-
-    elif isinstance(model, RncaModel):
-        d = model.fm.d
-        k = args.k if args.k is not None else model.m
-
-        def project(x):
-            _, loading, residual = model.test(x, k)
-            return loading, residual
-
-    elif isinstance(model, NystromModel):
-        d = model.samples.shape[1]
-        if args.k is not None and args.k != model.k:
-            raise ConfigurationError(
-                f"nystrom rank is fixed at train time (k={model.k}); retrain to change it"
-            )
-        k = model.k
-
-        def project(x):
-            c_row, loading = model.test(x)
-            return loading, model.residual(c_row)
-
-    else:  # pragma: no cover - load_model only returns the above
-        raise ContractViolationError(f"unsupported model type {type(model)!r}")
-
+    k = model.ranks[-1] if args.k is None else args.k
     results = []
-    count = 0
     start = time.perf_counter()
-    for i, row in enumerate(
-        iter_csv_rows(args.input, drop_first_col=args.drop_first_col, header=args.header)
-    ):
-        if row.size != d:
+    for i, row in enumerate(_input_rows(args)):
+        if row.size != model.d:
             raise ContractViolationError(
-                f"{args.input}: row {i} has dimension {row.size}, model expects {d}"
+                f"{args.input}: row {i} has dimension {row.size}, model expects {model.d}"
             )
         if center is not None:
             row = row - center
-        loading, residual = project(row)
-        results.append((loading, residual))
-        count += 1
+        results.append(model.answer(row, k))
     elapsed = time.perf_counter() - start
-    if count == 0:
+    if not results:
         raise ContractViolationError(f"{args.input}: no data rows")
 
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         for loading, residual in results:
-            fields = [format(v, ".17g") for v in loading]
-            fields.append(format(residual, ".17g"))
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(format(v, ".17g") for v in (*loading, residual)) + "\n")
     print(
-        f"tested n={count} k={k} total_seconds={elapsed:.6f} "
-        f"per_point_seconds={elapsed / count:.9f}"
+        f"tested n={len(results)} k={k} total_seconds={elapsed:.6f} "
+        f"per_point_seconds={elapsed / len(results):.9f}"
     )
     return 0
 
@@ -320,13 +213,7 @@ def cmd_benchmark(args) -> int:
             raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
     sizes = _parse_int_list(args.m, "--m")
     ells = _parse_int_list(args.ell, "--ell")
-    rounded = []
-    even_ells = []
-    for ell in ells:
-        if ell % 2 != 0:
-            rounded.append((ell, ell + 1))
-            ell += 1
-        even_ells.append(ell)
+    even_ells = [ell + ell % 2 for ell in ells]
     csizes = _parse_int_list(args.c, "--c") if args.c is not None else sizes
 
     data = read_matrix_csv(args.input, drop_first_col=args.drop_first_col, header=args.header)
@@ -340,19 +227,13 @@ def cmd_benchmark(args) -> int:
     test_set = data[perm[:test_size]]
     train_set = data[perm[test_size:]]
 
-    grid = []
-    for method in methods:
-        if method == "skpca":
-            for size in sizes:
-                for ell in even_ells:
-                    _require(ell <= size, f"skpca needs ell <= m, got ell={ell}, m={size}")
-                    grid.append(evaluation.BenchmarkCell(method="skpca", m=size, ell=ell))
-        elif method == "rnca":
-            for size in sizes:
-                grid.append(evaluation.BenchmarkCell(method="rnca", m=size))
-        else:
-            for size in csizes:
-                grid.append(evaluation.BenchmarkCell(method="nystrom", c=size))
+    # a method's cells: every combination of its sizes' values; k takes its default
+    values = {"m": sizes, "ell": even_ells, "c": csizes, "k": [None]}
+    grid = [
+        evaluation.BenchmarkCell(method=method, **dict(zip(MODELS[method].sizes, combo)))
+        for method in methods
+        for combo in itertools.product(*(values[name] for name in MODELS[method].sizes))
+    ]
 
     kernel = KernelSpec(sigma=args.sigma)
     reports = evaluation.run_benchmark(
@@ -365,8 +246,9 @@ def cmd_benchmark(args) -> int:
         jobs=args.jobs,
     )
     evaluation.write_reports_csv(reports, args.output)
-    for old, new in rounded:
-        print(f"note: odd sketch size ell={old} rounded up to {new}")
+    for ell in ells:
+        if ell % 2:
+            print(f"note: odd sketch size ell={ell} rounded up to {ell + 1}")
     print(
         f"benchmarked {len(reports)} cells on n={train_set.shape[0]} train / "
         f"{test_set.shape[0]} test points; report at {args.output}"

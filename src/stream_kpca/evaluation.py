@@ -16,6 +16,8 @@ overrides the guard.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import os
 import time
@@ -25,17 +27,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import baselines, skpca
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .kernels import KernelSpec, gram
 from .numerics import as_matrix, factor_gram, sym_eig_top, sym_spectral_norm, thin_svd
-from .rff import sample_feature_map
+from .methods import METHODS, MODELS
 from .seeds import substream_seed
 
 ORACLE_MAX_N_DEFAULT = 5000
 ORACLE_MAX_N_ENV = "STREAM_KPCA_ORACLE_MAX_N"
-
-METHODS = ("skpca", "rnca", "nystrom")
 
 TIMING_REPS = 3
 
@@ -157,8 +156,9 @@ def _score_factor(
 class BenchmarkCell:
     """One (method, config) grid cell.
 
-    skpca needs (m, ell); rnca needs m (k optional, defaults to m);
-    nystrom needs c (k optional, defaults to c).
+    skpca needs (m, ell); rnca needs m; nystrom needs c. k, optional, is the
+    rank of the scored reconstruction (and nystrom's model rank); it
+    defaults to ell, m and c.
     """
 
     method: str
@@ -169,19 +169,17 @@ class BenchmarkCell:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; expected one of {METHODS}"
-            )
-        if self.method == "skpca" and (self.m is None or self.ell is None):
-            raise ConfigurationError("skpca cells need m and ell")
-        if self.method == "rnca" and self.m is None:
-            raise ConfigurationError("rnca cells need m")
-        if self.method == "nystrom" and self.c is None:
-            raise ConfigurationError("nystrom cells need c")
+            raise ConfigurationError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        self.sizes()
+
+    def sizes(self) -> dict:
+        """The final sizes the cell's method fits with."""
+        model_cls = MODELS[self.method]
+        return model_cls.resolve({name: getattr(self, name) for name in model_cls.sizes})
 
     @property
     def sample_size(self) -> int:
-        return self.c if self.method == "nystrom" else self.m
+        return getattr(self, MODELS[self.method].sizes[0])
 
 
 @dataclass
@@ -199,8 +197,6 @@ class ErrorReport:
     seed: int
     n: int
     d: int
-    eps: float | None
-    delta: float | None
     k: int | None
     sigma: float
     m: int | None
@@ -214,8 +210,6 @@ REPORT_COLUMNS = [
     "d",
     "sigma",
     "seed",
-    "eps",
-    "delta",
     "sample_size",
     "m",
     "ell",
@@ -250,8 +244,6 @@ def write_reports_csv(reports: Sequence[ErrorReport], path) -> None:
 
 
 def write_reports_jsonl(reports: Sequence[ErrorReport], path) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for rep in reports:
             record = {col: getattr(rep, col) for col in REPORT_COLUMNS}
@@ -259,8 +251,6 @@ def write_reports_jsonl(reports: Sequence[ErrorReport], path) -> None:
 
 
 def read_reports_csv(path) -> list[dict]:
-    import csv
-
     with open(path, encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
@@ -288,50 +278,23 @@ def _run_cell(
     timing_reps: int,
 ) -> ErrorReport:
     n, d = data.shape
+    fit, sizes = MODELS[cell.method].fit, cell.sizes()
+    train_seconds, model = _median_time(lambda: fit(kernel, cell_seed, data, **sizes), timing_reps)
+    # the benchmark's rank where the model answers at it, else its default
+    k_test = k if k in model.ranks else model.ranks[-1]
 
-    if cell.method == "skpca":
-        config = skpca.SkpcaConfig(kernel=kernel, seed=cell_seed, m=cell.m, ell=cell.ell)
-        train_seconds, model = _median_time(lambda: skpca.train(config, data), timing_reps)
-        k_test = min(k, cell.ell) if k is not None else cell.ell
+    def test_pass():
+        for row in test_set:
+            model.answer(row, k_test)
 
-        def test_pass():
-            for row in test_set:
-                model.project_test(row, k_test)
-
-        factor = model.gram_factor(data)
-        space = skpca.space_entries(cell.m, cell.ell, d)
-    elif cell.method == "rnca":
-        fm = sample_feature_map(kernel, cell.m, d, cell_seed)
-        train_seconds, model = _median_time(lambda: baselines.rnca_train(fm, data), timing_reps)
-        k_test = min(k, cell.m) if k is not None else cell.m
-
-        def test_pass():
-            for row in test_set:
-                model.test(row, k_test)
-
-        factor = model.gram_factor(data, k=cell.k)
-        space = baselines.rnca_space_entries(cell.m, d)
-    else:
-        k_model = cell.k if cell.k is not None else cell.c
-        train_seconds, model = _median_time(
-            lambda: baselines.nystrom_train(kernel, cell.c, k_model, cell_seed, data),
-            timing_reps,
-        )
-
-        def test_pass():
-            for row in test_set:
-                model.test(row)
-
-        factor = model.gram_factor(data)
-        space = baselines.nystrom_space_entries(cell.c, d)
-
+    factor = model.gram_factor(data, k=cell.k)
     test_seconds, _ = _median_time(test_pass, timing_reps)
     spec_err, frob_err, rank_k = _score_factor(g_exact, g_spectrum, factor, k)
 
     return ErrorReport(
         method=cell.method,
         sample_size=cell.sample_size,
-        space_entries=space,
+        space_entries=model.space,
         spectral_err=spec_err,
         frobenius_err=frob_err,
         rank_k_frobenius=rank_k,
@@ -340,8 +303,6 @@ def _run_cell(
         seed=cell_seed,
         n=n,
         d=d,
-        eps=None,
-        delta=None,
         k=k,
         sigma=kernel.sigma,
         m=cell.m,
@@ -379,6 +340,8 @@ def run_benchmark(
             f"test set has {tst.shape[1]} columns, data has {arr.shape[1]}"
         )
     n = arr.shape[0]
+    if k is not None and not 1 <= k <= n:
+        raise ConfigurationError(f"k must be in [1, {n}], got {k}")
     guard = oracle_max_n()
     if n > guard:
         raise ConfigurationError(
@@ -386,7 +349,7 @@ def run_benchmark(
             f"or raise {ORACLE_MAX_N_ENV}"
         )
     g_exact = gram(kernel, arr)
-    g_spectrum = _spectrum(g_exact) if k is not None and 1 <= k <= n else None
+    g_spectrum = _spectrum(g_exact) if k is not None else None
 
     def job(item):
         idx, cell = item

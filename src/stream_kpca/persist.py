@@ -1,10 +1,14 @@
 """Versioned flat-file model persistence.
 
-Models serialize to a single JSON record. Feature maps are regenerated
-from their recorded (family, sigma, m, d, seed) rather than storing the
-frequency matrix, so the persisted size stays O(1) in m*d while the
-logical object keeps its full space accounting. Serialization is
-byte-stable: identical training inputs produce identical files.
+A model serializes to a single JSON record: an envelope (format, version,
+method, kernel, seed, d, n_seen, peak_entries, center) plus the fields its
+class writes with `record_fields` and reads back with `from_record`.
+Feature maps are regenerated from their recorded (family, sigma, m, d,
+seed) rather than storing the frequency matrix, so the persisted size stays
+O(1) in m*d while the logical object keeps its full space accounting; the
+record keeps a SHA-256 of the map's (r, gamma) bytes, and a load that draws
+a different map fails. Serialization is byte-stable: identical training
+inputs produce identical files.
 """
 
 from __future__ import annotations
@@ -13,131 +17,55 @@ import json
 
 import numpy as np
 
-from .baselines import NystromModel, RncaModel
 from .errors import ContractViolationError
 from .kernels import KernelSpec
-from .numerics import sym_eig
-from .rff import sample_feature_map
-from .skpca import SkpcaModel
+from .methods import MODELS
 
 MODEL_FORMAT = "stream-kpca-model"
-MODEL_VERSION = 1
-
-
-def _common(method: str, kernel: KernelSpec, seed, d: int, n_seen: int, center) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "method": method,
-        "family": kernel.family,
-        "sigma": kernel.sigma,
-        "seed": seed,
-        "d": d,
-        "n_seen": n_seen,
-        "center": None if center is None else [float(v) for v in center],
-    }
+MODEL_VERSION = 2
 
 
 def save_model(model, path, center=None) -> None:
-    if isinstance(model, SkpcaModel):
-        record = _common(
-            "skpca",
-            KernelSpec(sigma=model.fm.sigma),
-            model.fm.seed,
-            model.fm.d,
-            model.n_seen,
-            center,
-        )
-        record.update(
-            m=model.fm.m,
-            ell=model.ell,
-            w=model.w.tolist(),
-            s=model.s.tolist(),
-            peak_entries=model.peak_entries,
-        )
-    elif isinstance(model, RncaModel):
-        record = _common(
-            "rnca",
-            KernelSpec(sigma=model.fm.sigma),
-            model.fm.seed,
-            model.fm.d,
-            model.n_seen,
-            center,
-        )
-        record.update(
-            m=model.fm.m,
-            cov=model.cov.tolist(),
-            peak_entries=model.peak_entries,
-        )
-    elif isinstance(model, NystromModel):
-        record = _common(
-            "nystrom",
-            model.kernel,
-            model.seed,
-            model.samples.shape[1],
-            model.n_seen,
-            center,
-        )
-        record.update(
-            c=model.c,
-            k=model.k,
-            samples=model.samples.tolist(),
-            replacements=model.replacements,
-            peak_entries=model.peak_entries,
-        )
-    else:
-        raise ContractViolationError(f"cannot persist object of type {type(model)!r}")
+    record = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "method": model.method,
+        "family": model.kernel.family,
+        "sigma": model.kernel.sigma,
+        "seed": model.seed,
+        "d": model.d,
+        "n_seen": model.n_seen,
+        "peak_entries": model.peak_entries,
+        "center": None if center is None else [float(v) for v in center],
+        **model.record_fields(),
+    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path):
-    """Load a persisted model; returns (model, center-or-None)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Load a persisted model; returns (model, center-or-None).
+
+    Any malformed record raises ContractViolationError naming the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ContractViolationError(f"{path}: not a model file: {exc}") from None
-    if record.get("format") != MODEL_FORMAT:
-        raise ContractViolationError(f"{path}: not a {MODEL_FORMAT} file")
-    if record.get("version") != MODEL_VERSION:
+        if record.get("format") != MODEL_FORMAT:
+            raise ContractViolationError(f"not a {MODEL_FORMAT} file")
+        if record["version"] != MODEL_VERSION:
+            raise ContractViolationError(f"unsupported model version {record['version']!r}")
+        if record["method"] not in MODELS:
+            raise ContractViolationError(f"unknown method {record['method']!r}")
+        kernel = KernelSpec(family=record["family"], sigma=record["sigma"])
+        model = MODELS[record["method"]].from_record(kernel, record)
+        center = record["center"]
+        if center is not None:
+            center = np.asarray(center, dtype=np.float64).reshape(model.d)
+        return model, center
+    except ContractViolationError as exc:
+        raise ContractViolationError(f"{path}: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ContractViolationError(
-            f"{path}: unsupported model version {record.get('version')!r}"
-        )
-    kernel = KernelSpec(family=record["family"], sigma=record["sigma"])
-    center = record.get("center")
-    center_vec = None if center is None else np.asarray(center, dtype=np.float64)
-    method = record["method"]
-    if method == "skpca":
-        fm = sample_feature_map(kernel, record["m"], record["d"], record["seed"])
-        model = SkpcaModel(
-            fm=fm,
-            w=np.asarray(record["w"], dtype=np.float64),
-            s=np.asarray(record["s"], dtype=np.float64),
-            n_seen=record["n_seen"],
-            peak_entries=record.get("peak_entries", 0),
-        )
-    elif method == "rnca":
-        fm = sample_feature_map(kernel, record["m"], record["d"], record["seed"])
-        cov = np.asarray(record["cov"], dtype=np.float64)
-        eigvals, eigvecs = sym_eig(cov)
-        model = RncaModel(
-            fm=fm,
-            cov=cov,
-            n_seen=record["n_seen"],
-            eigvals=eigvals,
-            eigvecs=eigvecs,
-            peak_entries=record.get("peak_entries", 0),
-        )
-    elif method == "nystrom":
-        model = NystromModel.from_samples(
-            kernel,
-            np.asarray(record["samples"], dtype=np.float64),
-            record["k"],
-            seed=record["seed"],
-            n_seen=record["n_seen"],
-            replacements=record.get("replacements", 0),
-        )
-    else:
-        raise ContractViolationError(f"{path}: unknown method {method!r}")
-    return model, center_vec
+            f"{path}: malformed model record: {type(exc).__name__}: {exc}"
+        ) from None

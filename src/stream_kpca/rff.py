@@ -13,6 +13,7 @@ row-major order, phases second.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -79,6 +80,44 @@ class FeatureMap:
             stop = min(start + chunk, n)
             out[start:stop] = self.apply_batch(arr[start:stop]) @ basis
         return out
+
+    def checksum(self) -> str:
+        """SHA-256 of the frequency and phase bytes."""
+        return hashlib.sha256(self.r.tobytes() + self.gamma.tobytes()).hexdigest()
+
+
+class FeatureMapModel:
+    """Envelope accessors of the models built on a feature map `fm` (SKPCA and
+    RNCA); the model protocol is described in `stream_kpca.methods`."""
+
+    seed_stream = "feature_map"  # the named sub-stream of the CLI seed that seeds `fm`
+
+    @property
+    def kernel(self) -> KernelSpec:
+        return KernelSpec(sigma=self.fm.sigma)
+
+    @property
+    def seed(self) -> int:
+        return self.fm.seed
+
+    @property
+    def d(self) -> int:
+        return self.fm.d
+
+
+def stored_feature_map(spec: KernelSpec, record: dict) -> FeatureMap:
+    """Redraw a model record's feature map; raise unless it matches the stored checksum.
+
+    NumPy does not promise that its random streams stay the same across
+    versions, so a redrawn map may differ from the one the model was trained with.
+    """
+    fm = sample_feature_map(spec, record["m"], record["d"], record["seed"])
+    if fm.checksum() != record["rff_sha256"]:
+        raise ContractViolationError(
+            "the feature map drawn from the stored seed does not match the stored "
+            "checksum: the record was edited or numpy's random stream has changed"
+        )
+    return fm
 
 
 def sample_feature_map(spec: KernelSpec, m: int, d: int, seed: int) -> FeatureMap:

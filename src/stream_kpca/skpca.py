@@ -23,12 +23,12 @@ from .errors import ConfigurationError, ContractViolationError
 from .fd import FdSketch
 from .kernels import KernelSpec
 from .numerics import as_vector, factor_gram
-from .rff import FeatureMap, sample_feature_map
+from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature_map
 
 
 def derive_feature_count(eps: float, delta: float, n: int) -> int:
     """Feature count m = ceil(((9 + 8*eps) / eps^2) * ln(2n / delta))."""
-    _check_eps_delta(eps, delta)
+    check_eps_delta(eps, delta)
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
     return math.ceil((9.0 + 8.0 * eps) / eps**2 * math.log(2.0 * n / delta))
@@ -42,11 +42,20 @@ def derive_sketch_size(eps: float) -> int:
     return ell if ell % 2 == 0 else ell + 1
 
 
-def _check_eps_delta(eps: float, delta: float) -> None:
+def check_eps_delta(eps: float, delta: float) -> None:
     if not 0 < eps < 1:
         raise ConfigurationError(f"eps must be in (0, 1), got {eps}")
     if not 0 < delta < 1:
         raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
+
+
+def settle_size(name: str, given: int | None, derived: int | None) -> int:
+    """The derived size when there is one (a given one must equal it), else the given one."""
+    if given is None and derived is None:
+        raise ConfigurationError(f"{name} must be given, or derived from (eps, delta)")
+    if given is not None and derived is not None and given != derived:
+        raise ConfigurationError(f"given {name}={given} conflicts with derived {name}={derived}")
+    return given if derived is None else derived
 
 
 @dataclass
@@ -64,7 +73,7 @@ class SkpcaConfig:
         if (self.eps is None) != (self.delta is None):
             raise ConfigurationError("eps and delta must be given together")
         if self.eps is not None:
-            _check_eps_delta(self.eps, self.delta)
+            check_eps_delta(self.eps, self.delta)
         if self.eps is None and (self.m is None or self.ell is None):
             raise ConfigurationError("either (m, ell) or (eps, delta) must be set")
         if self.m is not None and self.ell is not None:
@@ -81,27 +90,15 @@ class SkpcaConfig:
         """
         m, ell = self.m, self.ell
         if self.eps is not None:
-            derived_m = derive_feature_count(self.eps, self.delta, n)
-            derived_ell = derive_sketch_size(self.eps)
-            if m is None:
-                m = derived_m
-            elif m != derived_m:
-                raise ConfigurationError(
-                    f"explicit m={m} conflicts with derived m={derived_m}"
-                )
-            if ell is None:
-                ell = derived_ell
-            elif ell != derived_ell:
-                raise ConfigurationError(
-                    f"explicit ell={ell} conflicts with derived ell={derived_ell}"
-                )
+            m = settle_size("m", m, derive_feature_count(self.eps, self.delta, n))
+            ell = settle_size("ell", ell, derive_sketch_size(self.eps))
         if not 2 <= ell <= m:
             raise ConfigurationError(f"need m >= ell >= 2, got m={m}, ell={ell}")
         return m, ell
 
 
 @dataclass(frozen=True)
-class SkpcaModel:
+class SkpcaModel(FeatureMapModel):
     """Trained model: feature map plus the sketch's orthonormal basis.
 
     Immutable after training; project_test may be called concurrently.
@@ -113,9 +110,46 @@ class SkpcaModel:
     n_seen: int
     peak_entries: int
 
+    method = "skpca"
+    sizes = ("m", "ell")
+
+    @staticmethod
+    def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
+        """Final (m, ell), given or derived from (eps, delta) at stream length n."""
+        # the sizes depend on neither the kernel nor the seed
+        config = SkpcaConfig(KernelSpec(), 0, sizes["m"], sizes["ell"], eps, delta)
+        return dict(zip(("m", "ell"), config.resolve(n)))
+
+    @staticmethod
+    def fit(kernel: KernelSpec, seed: int, rows: Iterable, m: int, ell: int) -> "SkpcaModel":
+        return train(SkpcaConfig(kernel=kernel, seed=seed, m=m, ell=ell), rows)
+
+    @classmethod
+    def from_record(cls, kernel: KernelSpec, record: dict) -> "SkpcaModel":
+        fm, ell = stored_feature_map(kernel, record), record["ell"]
+        w = np.asarray(record["w"], dtype=np.float64).reshape(fm.m, ell)
+        s = np.asarray(record["s"], dtype=np.float64).reshape(ell)
+        return cls(fm, w, s, record["n_seen"], record["peak_entries"])
+
+    def record_fields(self) -> dict:
+        fields = {"m": self.fm.m, "ell": self.ell, "rff_sha256": self.fm.checksum()}
+        return {**fields, "w": self.w.tolist(), "s": self.s.tolist()}
+
     @property
     def ell(self) -> int:
         return self.w.shape[1]
+
+    @property
+    def ranks(self) -> range:
+        return range(1, self.ell + 1)
+
+    @property
+    def space(self) -> int:
+        return space_entries(self.fm.m, self.ell, self.fm.d)
+
+    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
+        _, loading, residual = self.project_test(x, k)
+        return loading, residual
 
     def project_test(self, x, k: int) -> tuple[np.ndarray, np.ndarray, float]:
         """Lift a point and project it onto the first k basis directions.
@@ -132,16 +166,19 @@ class SkpcaModel:
         residual = float(np.linalg.norm(lifted - wk @ loading))
         return lifted, loading, residual
 
-    def gram_factor(self, a, chunk: int = 256) -> np.ndarray:
-        """The (n, ell) factor ZW of the reconstructed gram (ZW)(ZW)^T.
+    def gram_factor(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
+        """The (n, k) factor Z W_k of the reconstructed gram; k = ell (the
+        default) gives (ZW)(ZW)^T.
 
         Lifts `chunk` rows at a time, so the n x m lift never exists whole.
         """
-        return self.fm.project_batch(a, self.w, chunk)
+        if k is not None and not 1 <= k <= self.ell:
+            raise ContractViolationError(f"k must be in [1, {self.ell}], got {k}")
+        return self.fm.project_batch(a, self.w[:, :k], chunk)
 
     def reconstruct_gram(self, a, chunk: int = 256) -> np.ndarray:
         """Evaluation-only gram reconstruction G~ = (ZW)(ZW)^T."""
-        return factor_gram(self.gram_factor(a, chunk))
+        return factor_gram(self.gram_factor(a, chunk=chunk))
 
 
 def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:

@@ -3,9 +3,11 @@ import pytest
 from conftest import gaussian_mixture
 
 from stream_kpca import (
+    ConfigurationError,
     ContractViolationError,
     KernelSpec,
     NystromModel,
+    SkpcaConfig,
     best_rank_k,
     eval_kernel,
     gram,
@@ -16,7 +18,10 @@ from stream_kpca import (
     rnca_space_entries,
     rnca_train,
     sample_feature_map,
+    train,
 )
+from stream_kpca.methods import METHODS, MODELS
+from stream_kpca.seeds import substream_seed
 
 
 @pytest.fixture
@@ -204,3 +209,68 @@ class TestNystrom:
         data = gaussian_mixture(40, d, seed=20)
         model = nystrom_train(spec, c=c, k=c, seed=6, stream=data)
         assert model.peak_entries <= 3 * nystrom_space_entries(c, d)
+
+
+SIZES = {"skpca": {"m": 24, "ell": 6}, "rnca": {"m": 20}, "nystrom": {"c": 10, "k": 4}}
+
+
+def _direct(method, spec, seed, data):
+    """The method's trainer called directly, and the arrays that define its model."""
+    if method == "skpca":
+        model = train(SkpcaConfig(kernel=spec, seed=seed, **SIZES["skpca"]), data)
+        return model, ("w", "s")
+    if method == "rnca":
+        model = rnca_train(sample_feature_map(spec, SIZES["rnca"]["m"], data.shape[1], seed), data)
+        return model, ("cov", "eigvals", "eigvecs")
+    model = nystrom_train(spec, **SIZES["nystrom"], seed=seed, stream=data)
+    return model, ("samples", "eigvals", "eigvecs", "wk_pinv")
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_matches_direct_trainer(self, method, spec):
+        data = gaussian_mixture(50, 3, seed=21)
+        model_cls = MODELS[method]
+        seed = substream_seed(4, model_cls.seed_stream)
+        sizes = model_cls.resolve(SIZES[method])
+        fitted = model_cls.fit(spec, seed, iter(data), **sizes)
+        direct, names = _direct(method, spec, seed, data)
+        assert type(fitted) is model_cls and fitted.method == method
+        for name in names:
+            assert np.array_equal(getattr(fitted, name), getattr(direct, name)), name
+        assert (fitted.n_seen, fitted.d) == (50, 3)
+        assert fitted.peak_entries == direct.peak_entries
+        assert fitted.space == {"skpca": 24 * 3 + 24 * 6, "rnca": 20 * 20 + 20 * 3,
+                                "nystrom": 10 * 10 + 10 * 3}[method]
+
+    @pytest.mark.parametrize(
+        "method,given,eps,delta,want",
+        [
+            ("skpca", {"m": None, "ell": None}, 0.45, 0.2, {"m": 416, "ell": 10}),
+            ("rnca", {"m": None}, 0.45, 0.2, {"m": 416}),
+            ("nystrom", {"c": None, "k": None}, 0.5, 0.2, {"c": 27, "k": 27}),
+            ("nystrom", {"c": 12, "k": None}, None, None, {"c": 12, "k": 12}),
+            ("nystrom", {"c": 12, "k": 3}, None, None, {"c": 12, "k": 3}),
+        ],
+    )
+    def test_resolve(self, method, given, eps, delta, want):
+        assert MODELS[method].resolve(given, eps, delta, 80) == want
+
+    @pytest.mark.parametrize("method", ["rnca", "nystrom"])
+    def test_resolve_rejects_missing_and_conflicting_sizes(self, method):
+        name = MODELS[method].sizes[0]
+        missing = dict.fromkeys(MODELS[method].sizes)
+        with pytest.raises(ConfigurationError, match=f"{name} must be given"):
+            MODELS[method].resolve(missing)
+        with pytest.raises(ConfigurationError, match="conflicts with derived"):
+            MODELS[method].resolve({**missing, name: 3}, 0.45, 0.2, 80)
+        with pytest.raises(ConfigurationError, match="delta must be in"):
+            MODELS[method].resolve(missing, 0.45, 1.5, 80)
+
+    def test_nystrom_answers_only_at_its_rank(self, spec):
+        model = nystrom_train(spec, c=6, k=3, seed=0, stream=gaussian_mixture(20, 2, seed=1))
+        assert model.ranks == range(3, 4)
+        loading, residual = model.answer(np.zeros(2), 3)
+        assert loading.shape == (3,) and residual >= 0.0
+        with pytest.raises(ConfigurationError, match="fixed at train time"):
+            model.answer(np.zeros(2), 2)

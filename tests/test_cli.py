@@ -97,6 +97,27 @@ class TestTrain:
         assert record["method"] == "nystrom"
         assert record["k"] == 6
 
+    @pytest.mark.parametrize(
+        "method,sizes,flag",
+        [
+            ("skpca", ["--m", 16, "--ell", 4], "--c"),
+            ("skpca", ["--m", 16, "--ell", 4], "--k"),
+            ("rnca", ["--m", 16], "--ell"),
+            ("rnca", ["--m", 16], "--c"),
+            ("rnca", ["--m", 16], "--k"),
+            ("nystrom", ["--c", 8], "--m"),
+            ("nystrom", ["--c", 8], "--ell"),
+        ],
+    )
+    def test_inapplicable_flag_rejected(self, method, sizes, flag, data_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        rc = run("train", "--input", data_csv, "--output", model, "--method", method,
+                 *sizes, flag, 4)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError:") and f"{flag} " in err
+        assert not model.exists()
+
     def test_center_flag_stores_mean(self, data_csv, tmp_path):
         model = tmp_path / "c.json"
         assert run("train", "--input", data_csv, "--output", model, "--method", "skpca",
@@ -145,6 +166,30 @@ class TestTest:
         assert all(len(r.split(",")) == 4 for r in rows)  # 3 loadings + residual
 
 
+MALFORMED = {
+    "not-an-object": lambda record: [1, 2],
+    "no-method": lambda record: {k: v for k, v in record.items() if k != "method"},
+    "no-w": lambda record: {k: v for k, v in record.items() if k != "w"},
+    "w-not-numbers": lambda record: {**record, "w": "x"},
+    "skpca-fields-as-rnca": lambda record: {**record, "method": "rnca"},
+}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_error_line_naming_the_path(self, case, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run("train", "--input", data_csv, "--output", model, "--m", 16, "--ell", 4) == 0
+        record = json.loads(model.read_text())
+        model.write_text(json.dumps(MALFORMED[case](record)))
+        capsys.readouterr()
+        rc = run("test", "--model", model, "--input", data_csv, "--output", tmp_path / "o.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ContractViolationError:") and err.count("\n") == 1
+        assert str(model) in err
+
+
 class TestBenchmark:
     def test_grid_shape_and_finite_errors(self, data_csv, tmp_path):
         report = tmp_path / "report.csv"
@@ -168,6 +213,15 @@ class TestBenchmark:
         assert "rounded up" in capsys.readouterr().out
         rows = read_reports_csv(report)
         assert rows[0]["ell"] == "6"
+
+    @pytest.mark.parametrize("k", [0, -3, 1000])
+    def test_k_outside_one_to_n_rejected(self, k, data_csv, tmp_path, capsys):
+        report = tmp_path / "r.csv"
+        rc = run("benchmark", "--input", data_csv, "--output", report,
+                 "--method", "nystrom", "--m", "16", "--k", k)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ConfigurationError: k must be in")
+        assert not report.exists()
 
     def test_unknown_method_rejected(self, data_csv, tmp_path):
         rc = run("benchmark", "--input", data_csv, "--output", tmp_path / "r.csv",

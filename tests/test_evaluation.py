@@ -238,6 +238,12 @@ class TestRunBenchmark:
         for ra, rb in zip(serial, threaded):
             assert ra.spectral_err == rb.spectral_err
 
+    @pytest.mark.parametrize("k", [0, -3, 41])
+    def test_k_outside_one_to_n(self, spec, k):
+        with pytest.raises(ConfigurationError, match=r"k must be in \[1, 40\]"):
+            run_benchmark([BenchmarkCell(method="nystrom", c=8)], small_noisy(40),
+                          small_noisy(5, seed=1), k=k, kernel=spec, timing_reps=1)
+
     def test_oracle_guard(self, spec, monkeypatch):
         monkeypatch.setenv(ORACLE_MAX_N_ENV, "50")
         with pytest.raises(ConfigurationError, match="ORACLE_MAX_N"):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from stream_kpca import (
     BenchmarkCell,
+    ContractViolationError,
     KernelSpec,
     NystromModel,
     SkpcaConfig,
@@ -172,6 +173,21 @@ class TestGramFactor:
         assert rnca.gram_factor(data).shape == (30, 16)
         assert rnca.gram_factor(data, k=3).shape == (30, 3)
         assert _model("nystrom", data, 1).gram_factor(data).shape == (30, 5)
+
+    @pytest.mark.parametrize("method", ["skpca", "rnca", "nystrom"])
+    def test_rank_k_factor_is_leading_columns(self, method):
+        # a rank-k factor is the first k columns of the default factor; for
+        # nystrom it equals the factor of a rank-k model on the same samples
+        data = gaussian_mixture(30, 3, seed=9)
+        model = _model(method, data, 1)
+        full = model.gram_factor(data)
+        assert np.allclose(model.gram_factor(data, k=2), full[:, :2], rtol=0, atol=1e-12)
+        if method == "nystrom":
+            rank2 = NystromModel.from_samples(SPEC, model.samples, k=2)
+            assert np.allclose(rank2.gram_factor(data), full[:, :2], rtol=0, atol=1e-12)
+        for bad in (0, model.ranks[-1] + 100):
+            with pytest.raises(ContractViolationError, match="k must be in"):
+                model.gram_factor(data, k=bad)
 
     def test_nystrom_factor_rows_are_test_loadings(self):
         # pairwise loading inner products reproduce the reconstructed gram

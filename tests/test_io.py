@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import gaussian_mixture
@@ -20,6 +22,7 @@ from stream_kpca.dataio import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from stream_kpca.methods import METHODS, MODELS
 
 
 class TestCsv:
@@ -230,3 +233,31 @@ class TestPersistence:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ContractViolationError):
             load_model(path)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_round_trip_answers_are_equal(self, method, spec, tmp_path):
+        data = gaussian_mixture(40, 3, seed=9)
+        sizes = {"skpca": {"m": 24, "ell": 4}, "rnca": {"m": 16}, "nystrom": {"c": 8, "k": 5}}
+        model = MODELS[method].fit(spec, 11, data, **sizes[method])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded, _ = load_model(path)
+        assert type(loaded) is type(model) and loaded.ranks == model.ranks
+        for x in data[:10]:
+            for k in (model.ranks[0], model.ranks[-1]):
+                (a_load, a_res), (b_load, b_res) = model.answer(x, k), loaded.answer(x, k)
+                assert np.array_equal(a_load, b_load) and a_res == b_res
+
+    @pytest.mark.parametrize("method", ["skpca", "rnca"])
+    def test_feature_map_checksum_rejects_changed_seed(self, method, spec, tmp_path):
+        data = gaussian_mixture(30, 3, seed=12)
+        sizes = {"skpca": {"m": 16, "ell": 4}, "rnca": {"m": 16}}[method]
+        path = tmp_path / "model.json"
+        save_model(MODELS[method].fit(spec, 13, data, **sizes), path)
+        record = json.loads(path.read_text())
+        assert record["version"] == 2 and len(record["rff_sha256"]) == 64
+        record["seed"] += 1
+        path.write_text(json.dumps(record))
+        with pytest.raises(ContractViolationError, match="checksum") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
