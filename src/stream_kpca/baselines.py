@@ -1,8 +1,12 @@
 """Streaming baselines: RNCA and reservoir-sampled Nystrom.
 
+Both read the stream one checked point at a time through
+`dataio.row_blocks`, the ingest path SKPCA also uses.
+
 RNCA performs exact linear PCA on the random-feature lift of the stream by
 accumulating the m x m covariance one outer product per point, then
-eigendecomposing once at the end of training.
+eigendecomposing once at the end of training. Test projection and the gram
+factor are `rff.FeatureMapModel`'s, on the covariance eigenvectors.
 
 The Nystrom baseline keeps c independent single-slot reservoir samplers
 (slot i replaces its content at stream step t with probability 1/t, so
@@ -15,15 +19,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .counters import EntryCounter
+from .dataio import row_blocks
 from .errors import ConfigurationError, ContractViolationError
 from .kernels import KernelSpec, cross_gram, gram
-from .numerics import MACHINE_EPS, as_matrix, as_vector, factor_gram, sym_eig
+from .numerics import MACHINE_EPS, as_matrix, as_vector, check_rank, factor_gram, sym_eig
 from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature_map
 from .skpca import check_eps_delta, derive_feature_count, settle_size
 
@@ -72,42 +77,15 @@ class RncaModel(FeatureMapModel):
         return self.fm.m
 
     @property
-    def ranks(self) -> range:
-        return range(1, self.m + 1)
+    def basis(self) -> np.ndarray:
+        return self.eigvecs
 
     @property
     def space(self) -> int:
         return rnca_space_entries(self.m, self.d)
 
-    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
-        _, loading, residual = self.test(x, k)
-        return loading, residual
-
-    def gram_factor(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
-        """The (n, k) factor Z V_k of the reconstructed gram; k = m gives Z Z^T."""
-        if k is None:
-            k = self.m
-        if not 1 <= k <= self.m:
-            raise ContractViolationError(f"k must be in [1, {self.m}], got {k}")
-        return self.fm.project_batch(a, self.eigvecs[:, :k], chunk)
-
-    def reconstruct(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
-        """Evaluation-only gram reconstruction Z V_k V_k^T Z^T; k = m gives Z Z^T."""
-        return factor_gram(self.gram_factor(a, k, chunk))
-
     def test(self, x, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Lift a point and project onto the top-k covariance eigenspace.
-
-        Returns (lifted, loading, residual), mirroring the SKPCA test path
-        at O(dm + mk) cost.
-        """
-        if not 1 <= k <= self.m:
-            raise ContractViolationError(f"k must be in [1, {self.m}], got {k}")
-        lifted = self.fm.apply(x)
-        vk = self.eigvecs[:, :k]
-        loading = vk.T @ lifted
-        residual = float(np.linalg.norm(lifted - vk @ loading))
-        return lifted, loading, residual
+        return self.project_test(x, k)  # RNCA's name for it, which perfbench calls and traces
 
 
 def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
@@ -119,20 +97,16 @@ def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
     counter.alloc(m * m)
     counter.alloc(2 * m)  # lifted-row buffer + accumulation row scratch
     n_seen = 0
-    d = fm.d
-    for i, row in enumerate(stream):
-        vec = as_vector(row, f"stream point {i}")
-        if vec.size != d:
+    for block in row_blocks(stream, 1):  # one rank-one update per point
+        if block.shape[1] != fm.d:  # only point 0 can differ: row_blocks holds the rest to it
             raise ContractViolationError(
-                f"stream point {i} has dimension {vec.size}, expected {d}"
+                f"stream point {n_seen} has dimension {block.shape[1]}, expected {fm.d}"
             )
-        z = fm.apply(vec)
+        z = fm.apply(block[0])
         counter.alloc(m * m)  # outer-product temporary
         cov += np.outer(z, z)
         counter.free(m * m)
         n_seen += 1
-    if n_seen == 0:
-        raise ContractViolationError("training stream is empty")
     counter.alloc(m * m + m)  # eigendecomposition output
     eigvals, eigvecs = sym_eig(cov)
     return RncaModel(
@@ -166,15 +140,10 @@ class NystromModel:
     n_seen: int = 0
     replacements: int = 0
     peak_entries: int = 0
-    _sqrt_k: np.ndarray = field(init=False, repr=False)
 
     method = "nystrom"
     sizes = ("c", "k")
     seed_stream = "reservoir"
-
-    def __post_init__(self) -> None:
-        lam = np.maximum(self.eigvals[: self.k], 0.0)
-        object.__setattr__(self, "_sqrt_k", np.sqrt(lam))
 
     @staticmethod
     def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
@@ -239,8 +208,7 @@ class NystromModel:
         """Build the model for a fixed set of sampled points."""
         pts = as_matrix(samples, "samples")
         c = pts.shape[0]
-        if not 1 <= k <= c:
-            raise ContractViolationError(f"k must be in [1, {c}], got {k}")
+        check_rank(k, c)
         if counter is None:
             counter = EntryCounter()
             counter.alloc(pts.size)
@@ -275,10 +243,9 @@ class NystromModel:
     def test(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Kernel row against the samples plus rank-k loading.
 
-        The loading is the Nystrom embedding Lambda_k^{-1/2} V_k^T c_row,
-        computed through the c-dimensional projection u = pinv(W_k) c_row,
-        so pairwise loading inner products reproduce the reconstructed gram
-        entries. Costs O(cd + c^2 + ck).
+        The loading is the Nystrom embedding sqrt(inv) * (V_k^T c_row), with
+        inv as in `wk_pinv`, so pairwise loading inner products reproduce
+        the reconstructed gram entries. Costs O(cd + ck).
         """
         xv = as_vector(x, "point")
         if xv.size != self.samples.shape[1]:
@@ -286,9 +253,8 @@ class NystromModel:
                 f"point has dimension {xv.size}, samples have {self.samples.shape[1]}"
             )
         c_row = cross_gram(self.kernel, xv[None, :], self.samples)[0]
-        u = self.wk_pinv @ c_row
-        loading = self._sqrt_k * (self.eigvecs[:, : self.k].T @ u)
-        return c_row, loading
+        inv = _truncated_inverse(self.eigvals, self.k)
+        return c_row, np.sqrt(inv) * (self.eigvecs[:, : self.k].T @ c_row)
 
     def residual(self, c_row: np.ndarray) -> float:
         """Norm of the kernel row outside the rank-k eigenspace of W."""
@@ -303,8 +269,7 @@ class NystromModel:
         below the cutoff, as in `wk_pinv`; those columns of the factor are zero.
         """
         k = self.k if k is None else k
-        if not 1 <= k <= self.c:
-            raise ContractViolationError(f"k must be in [1, {self.c}], got {k}")
+        check_rank(k, self.c)
         arr = as_matrix(a, "data matrix")
         c_mat = cross_gram(self.kernel, arr, self.samples)
         inv = _truncated_inverse(self.eigvals, k)
@@ -339,31 +304,19 @@ def reservoir_sample(
     if c < 1:
         raise ContractViolationError(f"sample count c must be >= 1, got {c}")
     rng = np.random.default_rng(seed)
-    samples = None
-    d = None
     slot_replacements = np.zeros(c, dtype=np.int64)
     t = 0
-    for i, row in enumerate(stream):
-        vec = as_vector(row, f"stream point {i}")
-        if d is None:
-            d = vec.size
-            samples = np.empty((c, d))
-            if counter is not None:
-                counter.alloc(c * d)
-        elif vec.size != d:
-            raise ContractViolationError(
-                f"stream point {i} has dimension {vec.size}, expected {d}"
-            )
+    for block in row_blocks(stream, 1):
         t += 1
         if t == 1:
-            samples[:] = vec
+            samples = np.repeat(block, c, axis=0)
+            if counter is not None:
+                counter.alloc(samples.size)
         else:
             replace = rng.random(c) < (1.0 / t)
             if replace.any():
-                samples[replace] = vec
+                samples[replace] = block[0]
                 slot_replacements[replace] += 1
-    if t == 0:
-        raise ContractViolationError("training stream is empty")
     return samples, t, slot_replacements
 
 
@@ -371,8 +324,8 @@ def nystrom_train(
     spec: KernelSpec, c: int, k: int, seed: int, stream: Iterable
 ) -> NystromModel:
     """Stream through c independent reservoir samplers, then build the model."""
-    if c >= 1 and not 1 <= k <= c:
-        raise ContractViolationError(f"k must be in [1, {c}], got {k}")
+    if c >= 1:
+        check_rank(k, c)
     counter = EntryCounter()
     samples, n_seen, slot_replacements = reservoir_sample(c, seed, stream, counter=counter)
     return NystromModel.from_samples(

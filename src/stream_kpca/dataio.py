@@ -1,22 +1,68 @@
-"""CSV ingestion and emission.
+"""Stream ingestion, CSV ingestion and emission.
 
-Readers stream rows so training never holds more of the file than one
-fixed-size chunk of lines; writers use 17 significant digits so values
-round-trip exactly through decimal text.
+`row_blocks` is the one ingest path of the three trainers: it checks a row
+stream and hands it over in fixed-size blocks. Readers stream rows so
+training never holds more of the file than one fixed-size chunk of lines;
+writers use 17 significant digits so values round-trip exactly through
+decimal text.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .numerics import as_matrix
+from .numerics import as_matrix, as_vector
 
 SIG_DIGITS = 17
 CHUNK_LINES = 512
+
+
+def row_blocks(stream: Iterable, size: int) -> Iterator[np.ndarray]:
+    """Yield the rows of a stream as checked (<= size, d) float64 blocks.
+
+    d is the first row's width, and each later row's width is checked as it
+    arrives; each block is checked once for non-finite entries. Errors name
+    the first bad `stream point i` in stream order, and an empty stream
+    raises. A yielded block is one buffer that the next block overwrites,
+    so it is only valid until the next one is requested.
+    """
+    rows = iter(stream)
+    try:
+        first = as_vector(next(rows), "stream point 0")
+    except StopIteration:
+        raise ContractViolationError("training stream is empty") from None
+    d = first.size
+    block = np.empty((size, d))
+    held = start = 0
+    for i, row in enumerate(itertools.chain([first], rows)):
+        vec = np.asarray(row, dtype=np.float64).ravel()
+        if vec.size != d:
+            _check_finite(block[:held], start)  # earlier rows' errors come first
+            as_vector(row, f"stream point {i}")
+            raise ContractViolationError(
+                f"stream point {i} has dimension {vec.size}, expected {d}"
+            )
+        block[held] = vec
+        held += 1
+        if held == size:
+            _check_finite(block, start)
+            yield block
+            held, start = 0, i + 1
+    if held:
+        _check_finite(block[:held], start)
+        yield block[:held]
+
+
+def _check_finite(block: np.ndarray, start: int) -> None:
+    """Name the first stream point of a block (its first row is point `start`)
+    that has a non-finite entry."""
+    if not np.isfinite(block).all():
+        i = start + int(np.argmax(~np.isfinite(block).all(axis=1)))
+        raise ContractViolationError(f"stream point {i} contains non-finite entries")
 
 
 def write_matrix_csv(path, a, header: bool = False) -> None:

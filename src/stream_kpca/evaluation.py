@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .kernels import KernelSpec, gram
-from .numerics import as_matrix, factor_gram, sym_eig_top, sym_spectral_norm, thin_svd
+from .numerics import as_matrix, check_rank, factor_gram, sym_eig_top, sym_spectral_norm, thin_svd
 from .methods import METHODS, MODELS
 from .seeds import substream_seed
 
@@ -118,8 +118,7 @@ def rank_k_frobenius_check(g, gp, k: int, spectral: float | None = None) -> tupl
     """
     ga, gpa = _check_pair(g, gp, symmetric=True)
     n = ga.shape[0]
-    if not 1 <= k <= n:
-        raise ContractViolationError(f"k must be in [1, {n}], got {k}")
+    check_rank(k, n)
     if spectral is None:
         spectral = sym_spectral_norm(_sym_diff(ga, gpa))
     wp, vk = sym_eig_top(gpa, k)

@@ -40,6 +40,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def check_rank(k: int, r: int) -> None:
+    """Raise unless the rank k is in [1, r]."""
+    if not 1 <= k <= r:
+        raise ContractViolationError(f"k must be in [1, {r}], got {k}")
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size < 1:
@@ -119,8 +125,7 @@ def sym_eig_top(g, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     sym = _symmetrized(g, "sym_eig_top")
     n = sym.shape[0]
-    if not 1 <= k <= n:
-        raise ContractViolationError(f"k must be in [1, {n}], got {k}")
+    check_rank(k, n)
     try:
         w, v = scipy.linalg.eigh(sym, subset_by_index=[n - k, n - 1])
     except np.linalg.LinAlgError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .kernels import KernelSpec
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, check_rank, factor_gram
 
 TWO_PI = 2.0 * math.pi
 
@@ -87,8 +87,10 @@ class FeatureMap:
 
 
 class FeatureMapModel:
-    """Envelope accessors of the models built on a feature map `fm` (SKPCA and
-    RNCA); the model protocol is described in `stream_kpca.methods`."""
+    """The models built on a feature map `fm` (SKPCA and RNCA): a point's lift
+    projected onto the leading columns of an (m, r) orthonormal `basis` (the
+    sketch basis W for SKPCA, the covariance eigenvectors V for RNCA). The
+    model protocol is described in `stream_kpca.methods`."""
 
     seed_stream = "feature_map"  # the named sub-stream of the CLI seed that seeds `fm`
 
@@ -103,6 +105,43 @@ class FeatureMapModel:
     @property
     def d(self) -> int:
         return self.fm.d
+
+    @property
+    def ranks(self) -> range:
+        return range(1, self.basis.shape[1] + 1)
+
+    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
+        _, loading, residual = self.project_test(x, k)
+        return loading, residual
+
+    def project_test(self, x, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Lift a point and project it onto the first k basis directions.
+
+        Returns (lifted, loading, residual): the m-dimensional lift, its k
+        loading coordinates, and the norm of the part of the lift outside
+        the k-dimensional subspace. Costs O(dm + mk).
+        """
+        check_rank(k, self.basis.shape[1])
+        lifted = self.fm.apply(x)
+        bk = self.basis[:, :k]
+        loading = bk.T @ lifted
+        residual = float(np.linalg.norm(lifted - bk @ loading))
+        return lifted, loading, residual
+
+    def gram_factor(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
+        """The (n, k) factor Z B_k of the rank-k reconstructed gram, B the
+        basis; k defaults to the basis width (ZW for SKPCA, Z V with
+        (ZV)(ZV)^T = Z Z^T for RNCA).
+
+        Lifts `chunk` rows at a time, so the n x m lift never exists whole.
+        """
+        if k is not None:
+            check_rank(k, self.basis.shape[1])
+        return self.fm.project_batch(a, self.basis[:, :k], chunk)
+
+    def reconstruct(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
+        """Evaluation-only gram reconstruction Z B_k B_k^T Z^T."""
+        return factor_gram(self.gram_factor(a, k, chunk))
 
 
 def stored_feature_map(spec: KernelSpec, record: dict) -> FeatureMap:

@@ -1,17 +1,19 @@
 """Streaming kernel PCA: lift each point with a random Fourier feature map
 and feed it to a Frequent Directions sketch, in one pass and bounded memory.
 
-Training gathers the stream into blocks of ell rows, lifts and inserts each
-block at once, and keeps only the feature functions (d*m entries), the
-sketch (ell*m entries) and one block (ell*d input and ell*m lifted
-entries). The returned model holds the ell-dimensional basis W of the
-sketch's row space, which spans an approximate kernel eigenspace:
-reconstructing G~ = (ZW)(ZW)^T stays within eps*n of the exact gram matrix
-in spectral norm at the derived (m, ell).
+Training reads the stream through `dataio.row_blocks` in checked blocks of
+ell rows, lifts and inserts each block at once, and keeps only the feature
+functions (d*m entries), the sketch (ell*m entries) and one block (ell*d
+input and ell*m lifted entries). The returned model holds the
+ell-dimensional basis W of the sketch's row space, which spans an
+approximate kernel eigenspace: reconstructing G~ = (ZW)(ZW)^T stays within
+eps*n of the exact gram matrix in spectral norm at the derived (m, ell).
+Test projection and the gram factor are `rff.FeatureMapModel`'s, on W.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -19,10 +21,10 @@ from typing import Iterable
 import numpy as np
 
 from .counters import EntryCounter
-from .errors import ConfigurationError, ContractViolationError
+from .dataio import row_blocks
+from .errors import ConfigurationError
 from .fd import FdSketch
 from .kernels import KernelSpec
-from .numerics import as_vector, factor_gram
 from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature_map
 
 
@@ -140,45 +142,19 @@ class SkpcaModel(FeatureMapModel):
         return self.w.shape[1]
 
     @property
-    def ranks(self) -> range:
-        return range(1, self.ell + 1)
+    def basis(self) -> np.ndarray:
+        return self.w
 
     @property
     def space(self) -> int:
         return space_entries(self.fm.m, self.ell, self.fm.d)
 
-    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
-        _, loading, residual = self.project_test(x, k)
-        return loading, residual
-
-    def project_test(self, x, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Lift a point and project it onto the first k basis directions.
-
-        Returns (lifted, loading, residual): the m-dimensional lift, its k
-        loading coordinates, and the norm of the part of the lift outside
-        the k-dimensional subspace. Costs O(dm + mk).
-        """
-        if not 1 <= k <= self.ell:
-            raise ContractViolationError(f"k must be in [1, {self.ell}], got {k}")
-        lifted = self.fm.apply(x)
-        wk = self.w[:, :k]
-        loading = wk.T @ lifted
-        residual = float(np.linalg.norm(lifted - wk @ loading))
-        return lifted, loading, residual
-
-    def gram_factor(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
-        """The (n, k) factor Z W_k of the reconstructed gram; k = ell (the
-        default) gives (ZW)(ZW)^T.
-
-        Lifts `chunk` rows at a time, so the n x m lift never exists whole.
-        """
-        if k is not None and not 1 <= k <= self.ell:
-            raise ContractViolationError(f"k must be in [1, {self.ell}], got {k}")
-        return self.fm.project_batch(a, self.w[:, :k], chunk)
+    # an entry of this class too, where perfbench's tracer wraps it by name
+    project_test = FeatureMapModel.project_test
 
     def reconstruct_gram(self, a, chunk: int = 256) -> np.ndarray:
         """Evaluation-only gram reconstruction G~ = (ZW)(ZW)^T."""
-        return factor_gram(self.gram_factor(a, chunk=chunk))
+        return self.reconstruct(a, chunk=chunk)
 
 
 def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:
@@ -189,61 +165,27 @@ def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:
     (eps, delta), the stream has to have a known length (len()), since the
     feature-count bound depends on n.
     """
-    iterator = iter(stream)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        raise ContractViolationError("training stream is empty") from None
-
-    first = as_vector(first, "stream point 0")
-    d = first.size
     n_hint = len(stream) if hasattr(stream, "__len__") else None
     if config.eps is not None and n_hint is None:
         raise ConfigurationError(
             "the (eps, delta) parameterization needs the stream length; "
             "pass a sized sequence or set (m, ell) explicitly"
         )
-    m, ell = config.resolve(n_hint if n_hint is not None else 1)
+    m, ell = config.resolve(n_hint or 1)  # an empty stream fails in row_blocks
+    blocks = row_blocks(stream, ell)
+    first = next(blocks)
 
     counter = EntryCounter()
-    fm = sample_feature_map(config.kernel, m, d, config.seed)
-    counter.alloc(m * d + m)  # frequencies + phases
-    counter.alloc(ell * d + ell * m)  # input block + its lift
+    fm = sample_feature_map(config.kernel, m, first.shape[1], config.seed)
+    counter.alloc(m * fm.d + m)  # frequencies + phases
+    counter.alloc(ell * fm.d + ell * m)  # input block + its lift
     sketch = FdSketch(ell, m, counter=counter)
-
-    block = np.empty((ell, d))
-    block[0] = first
-    held = 1
-    for i, row in enumerate(iterator, start=1):
-        vec = np.asarray(row, dtype=np.float64).ravel()
-        if vec.size != d:
-            # report errors in stream order: earlier rows, then this one
-            _check_finite(block[:held], sketch.inserted)
-            as_vector(row, f"stream point {i}")
-            raise ContractViolationError(
-                f"stream point {i} has dimension {vec.size}, expected {d}"
-            )
-        block[held] = vec
-        held += 1
-        if held == ell:
-            _check_finite(block, sketch.inserted)
-            sketch.insert(fm.apply_batch(block))
-            held = 0
-    if held:
-        _check_finite(block[:held], sketch.inserted)
-        sketch.insert(fm.apply_batch(block[:held]))
+    for block in itertools.chain([first], blocks):
+        sketch.insert(fm.apply_batch(block))
 
     counter.alloc(ell * m + ell**2 + ell)  # final basis SVD temporaries
     w, s = sketch.basis()
     return SkpcaModel(fm=fm, w=w, s=s, n_seen=sketch.inserted, peak_entries=counter.peak)
-
-
-def _check_finite(block: np.ndarray, first_index: int) -> None:
-    """Name the first stream point of a block that has a non-finite entry."""
-    bad = ~np.isfinite(block).all(axis=1)
-    if bad.any():
-        i = first_index + int(np.argmax(bad))
-        raise ContractViolationError(f"stream point {i} contains non-finite entries")
 
 
 def space_entries(m: int, ell: int, d: int) -> int:

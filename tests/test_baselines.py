@@ -9,6 +9,7 @@ from stream_kpca import (
     NystromModel,
     SkpcaConfig,
     best_rank_k,
+    cross_gram,
     eval_kernel,
     gram,
     nystrom_space_entries,
@@ -199,6 +200,19 @@ class TestNystrom:
         assert np.allclose(
             model.reconstruct(data[:10]), rebuilt.reconstruct(data[:10]), atol=1e-12
         )
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_loadings_reproduce_reconstructed_gram(self, spec, k):
+        # 5 distinct points in 8 slots: W has 3 eigenvalues under the pinv cutoff
+        distinct = gaussian_mixture(5, 3, seed=22)
+        model = NystromModel.from_samples(spec, distinct[[0, 1, 1, 2, 3, 3, 3, 4]], k=k)
+        cutoff = 8 * np.finfo(np.float64).eps * model.eigvals[0]
+        assert np.sum(model.eigvals <= cutoff) == 3
+        points = np.vstack([gaussian_mixture(30, 3, seed=23), distinct])
+        loadings = np.vstack([model.test(x)[1] for x in points])
+        c_mat = cross_gram(spec, points, model.samples)
+        want = c_mat @ model.wk_pinv @ c_mat.T
+        assert np.max(np.abs(loadings @ loadings.T - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_k_out_of_range(self, spec):
         with pytest.raises(ContractViolationError):

@@ -7,11 +7,15 @@ from conftest import exact_phi, gaussian_mixture
 from stream_kpca import (
     ContractViolationError,
     KernelSpec,
+    SkpcaConfig,
     eval_kernel,
     gram,
+    rnca_train,
     sample_feature_map,
     spectral_norm,
+    train,
 )
+from stream_kpca.numerics import factor_gram
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,3 +136,42 @@ class TestForEachConcentration:
             z = fm.apply_batch(data)
             failures += abs(target - float(np.linalg.norm(z.T @ x) ** 2)) > eps * n
         assert failures <= 0.2 * 40
+
+
+def _feature_map_models():
+    spec = KernelSpec(sigma=2.0)
+    data = gaussian_mixture(40, 3, seed=31)
+    skpca = train(SkpcaConfig(kernel=spec, seed=4, m=24, ell=6), data)
+    rnca = rnca_train(sample_feature_map(spec, 24, 3, 4), data)
+    return data, {"skpca": (skpca, skpca.w), "rnca": (rnca, rnca.eigvecs)}
+
+
+class TestFeatureMapModel:
+    @pytest.mark.parametrize("method", ["skpca", "rnca"])
+    def test_projection_on_each_basis(self, method):
+        data, models = _feature_map_models()
+        model, basis = models[method]
+        assert model.basis is basis
+        assert model.ranks == range(1, basis.shape[1] + 1)
+        for k in (1, basis.shape[1]):
+            lifted, loading, residual = model.project_test(data[0], k)
+            assert np.array_equal(lifted, model.fm.apply(data[0]))
+            assert np.array_equal(loading, basis[:, :k].T @ lifted)
+            assert residual == float(np.linalg.norm(lifted - basis[:, :k] @ loading))
+            assert np.array_equal(model.answer(data[0], k)[0], loading)
+            factor = model.gram_factor(data, k, chunk=7)
+            assert np.array_equal(factor, model.fm.project_batch(data, basis[:, :k], 7))
+        assert np.array_equal(model.gram_factor(data), model.gram_factor(data, basis.shape[1]))
+        assert np.array_equal(model.reconstruct(data, 2), factor_gram(model.gram_factor(data, 2)))
+
+    def test_named_entry_points(self):
+        data, models = _feature_map_models()
+        skpca, rnca = models["skpca"][0], models["rnca"][0]
+        gram_5 = skpca.reconstruct(data, chunk=5)
+        assert np.array_equal(skpca.reconstruct_gram(data, chunk=5), gram_5)
+        _, loading, _ = rnca.test(data[1], 3)
+        assert np.array_equal(loading, rnca.project_test(data[1], 3)[1])
+        # each is a separate entry of its own class, so wrapping one on its
+        # class (as perfbench's tracer does) leaves the other model's calls alone
+        skpca_entry = type(skpca).__dict__["project_test"]
+        assert type(rnca).__dict__["test"] is not skpca_entry
