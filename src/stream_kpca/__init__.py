@@ -24,10 +24,9 @@ from .evaluation import (
     write_reports_jsonl,
 )
 from .fd import FdSketch
-from .kernels import KernelSpec, best_rank_k, cross_gram, eval_kernel, gram
+from .kernels import KernelSpec, cross_gram, eval_kernel, gram
 from .numerics import (
     SvdResult,
-    pinv,
     spectral_norm,
     sym_eig,
     sym_eig_top,
@@ -64,7 +63,6 @@ __all__ = [
     "SkpcaModel",
     "SvdResult",
     "SyntheticSpec",
-    "best_rank_k",
     "cross_gram",
     "derive_feature_count",
     "derive_sketch_size",
@@ -75,7 +73,6 @@ __all__ = [
     "load_model",
     "nystrom_space_entries",
     "nystrom_train",
-    "pinv",
     "rank_k_frobenius_check",
     "reservoir_sample",
     "rnca_space_entries",

@@ -12,7 +12,7 @@ The Nystrom baseline keeps c independent single-slot reservoir samplers
 (slot i replaces its content at stream step t with probability 1/t, so
 every slot holds a uniform sample of the stream, with-replacement across
 slots). Reconstruction is C @ pinv(W_k) @ C.T from the kernel matrix W of
-the sampled points.
+the sampled points, formed through the model's (n, k) gram factor.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import ConfigurationError, ContractViolationError
 from .kernels import KernelSpec, cross_gram, gram
 from .numerics import MACHINE_EPS, as_matrix, as_vector, check_rank, factor_gram, sym_eig
 from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature_map
-from .skpca import check_eps_delta, derive_feature_count, settle_size
+from .skpca import check_eps_delta, derive_feature_count, eps_delta_given, settle_size
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class RncaModel(FeatureMapModel):
     @staticmethod
     def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
         """Final m, given or derived from (eps, delta) at stream length n."""
-        derived = None if eps is None else derive_feature_count(eps, delta, n)
+        derived = derive_feature_count(eps, delta, n) if eps_delta_given(eps, delta) else None
         return {"m": settle_size("m", sizes["m"], derived)}
 
     @staticmethod
@@ -125,9 +125,8 @@ class NystromModel:
 
     Stores the sampled points and the eigendecomposition of their kernel
     matrix W (W itself is recomputable from the samples on demand, keeping
-    peak memory at the c^2 + cd budget). `wk_pinv` caches pinv(best rank-k
-    of W) for reconstruction. Implements the model protocol described in
-    `stream_kpca.methods`; the rank k is fixed at train time.
+    peak memory at the c^2 + cd budget). Implements the model protocol
+    described in `stream_kpca.methods`; the rank k is fixed at train time.
     """
 
     kernel: KernelSpec
@@ -135,7 +134,6 @@ class NystromModel:
     k: int
     eigvals: np.ndarray  # (c,) non-increasing
     eigvecs: np.ndarray  # (c, c)
-    wk_pinv: np.ndarray  # (c, c)
     seed: int | None = None
     n_seen: int = 0
     replacements: int = 0
@@ -148,7 +146,7 @@ class NystromModel:
     @staticmethod
     def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
         """Final (c, k); c given or derived from (eps, delta) at length n, k defaults to c."""
-        derived = None if eps is None else derive_sample_count(eps, delta, n)
+        derived = derive_sample_count(eps, delta, n) if eps_delta_given(eps, delta) else None
         c = settle_size("c", sizes["c"], derived)
         return {"c": c, "k": c if sizes["k"] is None else sizes["k"]}
 
@@ -219,21 +217,12 @@ class NystromModel:
         counter.alloc(c * c + c)
         counter.free(c * c)  # W released once decomposed
         del w_mat
-        # pinv of the rank-k truncation, straight from the eigenpairs
-        inv = _truncated_inverse(eigvals, k)
-        vk = eigvecs[:, :k]
-        counter.alloc(c * k)
-        scaled = vk * inv
-        counter.alloc(c * c)
-        wk_pinv = scaled @ vk.T
-        counter.free(c * k)
         return cls(
             kernel=kernel,
             samples=pts,
             k=k,
             eigvals=eigvals,
             eigvecs=eigvecs,
-            wk_pinv=wk_pinv,
             seed=seed,
             n_seen=n_seen,
             replacements=replacements,
@@ -244,8 +233,8 @@ class NystromModel:
         """Kernel row against the samples plus rank-k loading.
 
         The loading is the Nystrom embedding sqrt(inv) * (V_k^T c_row), with
-        inv as in `wk_pinv`, so pairwise loading inner products reproduce
-        the reconstructed gram entries. Costs O(cd + ck).
+        inv from `_truncated_inverse`, so pairwise loading inner products
+        reproduce the reconstructed gram entries. Costs O(cd + ck).
         """
         xv = as_vector(x, "point")
         if xv.size != self.samples.shape[1]:
@@ -266,7 +255,8 @@ class NystromModel:
         defaults to the model's rank.
 
         inv holds 1/lambda_i for the k leading eigenvalues of W, zero at or
-        below the cutoff, as in `wk_pinv`; those columns of the factor are zero.
+        below the cutoff (`_truncated_inverse`); those columns of the factor
+        are zero.
         """
         k = self.k if k is None else k
         check_rank(k, self.c)
@@ -284,7 +274,7 @@ def _truncated_inverse(eigvals: np.ndarray, k: int) -> np.ndarray:
     """1/lambda_i for the k leading eigenvalues of a c x c kernel matrix.
 
     Eigenvalues at or below the relative cutoff c * machine epsilon *
-    lambda_1 invert to zero, the rank-revealing choice of `pinv`.
+    lambda_1 invert to zero, the rank-revealing cutoff of a pseudoinverse.
     """
     cutoff = eigvals.size * MACHINE_EPS * max(eigvals[0], 0.0)
     lam = eigvals[:k]

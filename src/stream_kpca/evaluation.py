@@ -5,9 +5,10 @@ comparable across data sets: spectral error ||G - G'||_2 / n (worst case)
 and Frobenius error ||G - G'||_F / n^2 (global). The benchmark grid trains
 each (method, config) cell on the data, times train and per-point test
 work, and scores the cell's gram approximation G' = F F^T against the exact
-gram oracle G from its thin (n, r) factor F: the oracle's spectrum is
-computed once per run, the spectral error is a Lanczos iteration on
-G - F F^T, and the best rank-k part of G' comes from a thin SVD of F.
+gram oracle G from its thin (n, r) factor F: the spectral error is a
+Lanczos iteration on G - F F^T, the best rank-k part of G' comes from a
+thin SVD of F, and the oracle's rank-k tail ||G - G_k||_F, which the
+rank-k bound needs, is computed once per run from G's top k eigenpairs.
 
 The exact oracle materializes an n x n matrix, so the harness refuses
 n > 5000 by default; the STREAM_KPCA_ORACLE_MAX_N environment variable
@@ -22,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,35 +59,38 @@ def _check_pair(g, gp, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
         raise ContractViolationError(f"shape mismatch: {ga.shape} vs {gpa.shape}")
     if ga.shape[0] != ga.shape[1]:
         raise ContractViolationError(f"gram matrices must be square, got {ga.shape}")
-    if symmetric:
-        for name, mat in (("exact gram", ga), ("approximate gram", gpa)):
-            scale = max(float(np.linalg.norm(mat)), 1e-300)
-            if float(np.linalg.norm(mat - mat.T)) > 1e-8 * scale:
-                raise ContractViolationError(f"{name} is not symmetric within tolerance")
-    return ga, gpa
+    if not symmetric:
+        return ga, gpa
+    pair = []
+    for name, mat in (("exact gram", ga), ("approximate gram", gpa)):
+        scale = max(float(np.linalg.norm(mat)), 1e-300)
+        asym = float(np.linalg.norm(mat - mat.T))
+        if asym > 1e-8 * scale:
+            raise ContractViolationError(f"{name} is not symmetric within tolerance")
+        # symmetrized once accepted: the eigensolvers check symmetry to 1e-10
+        pair.append((mat + mat.T) / 2.0 if asym else mat)
+    return pair[0], pair[1]
 
 
-def _sym_diff(ga: np.ndarray, gpa: np.ndarray) -> np.ndarray:
-    """G - G', symmetrized; a no-op on exactly symmetric pairs."""
-    diff = ga - gpa
-    return (diff + diff.T) / 2.0
+def _rank_k_gap(g: np.ndarray, x: np.ndarray, k: int) -> float:
+    """||G - X_k||_F, where X_k keeps the k algebraically largest eigenpairs of X.
+
+    With x = g this is G's tail sqrt(sum_{i>k} lambda_i^2), formed as the
+    norm of the difference rather than ||G||_F^2 - sum_{i<=k} lambda_i^2,
+    which cancels when the tail is small.
+    """
+    w, v = sym_eig_top(x, k)
+    return float(np.linalg.norm(g - (v * w) @ v.T))
 
 
-def _spectrum(ga: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the exact gram, non-increasing."""
-    return np.linalg.eigvalsh((ga + ga.T) / 2.0)[::-1]
-
-
-def _rank_k_rhs(lhs: float, spectrum: np.ndarray, spectral: float, k: int) -> float:
+def _rank_k_rhs(lhs: float, tail: float, spectral: float, k: int, n: int) -> float:
     """The bound ||G - G_k||_F + ||G - G'||_2 * sqrt(k) on lhs = ||G - G'_k||_F.
 
-    `spectrum` is the exact gram's non-increasing spectrum and `spectral`
-    the measured ||G - G'||_2. Raises NumericalFailureError if lhs exceeds
-    the bound beyond 1e-6 * n slack.
+    `tail` is ||G - G_k||_F and `spectral` the measured ||G - G'||_2.
+    Raises NumericalFailureError if lhs exceeds the bound beyond 1e-6 * n
+    slack.
     """
-    n = spectrum.size
-    base = float(np.sqrt(max(np.sum(spectrum[k:] ** 2), 0.0)))
-    rhs = base + spectral * math.sqrt(k)
+    rhs = tail + spectral * math.sqrt(k)
     if lhs > rhs + 1e-6 * n:
         raise NumericalFailureError(
             f"rank-{k} Frobenius bound violated: lhs={lhs:.6e} > rhs={rhs:.6e}"
@@ -98,7 +102,7 @@ def spectral_error(g, gp) -> float:
     """Worst-case error ||G - G'||_2 / n."""
     ga, gpa = _check_pair(g, gp, symmetric=True)
     n = ga.shape[0]
-    return sym_spectral_norm(_sym_diff(ga, gpa)) / n
+    return sym_spectral_norm(ga - gpa) / n
 
 
 def frobenius_error(g, gp) -> float:
@@ -113,21 +117,21 @@ def rank_k_frobenius_check(g, gp, k: int, spectral: float | None = None) -> tupl
 
     Uses the measured spectral norm of the difference (pass `spectral` to
     reuse a value already computed), so the inequality is deterministic
-    given that measurement. Returns (lhs, rhs) and raises
-    NumericalFailureError if the inequality fails beyond 1e-6 * n slack.
+    given that measurement. Both rank-k parts come from top-k eigenpairs
+    only. Returns (lhs, rhs) and raises NumericalFailureError if the
+    inequality fails beyond 1e-6 * n slack.
     """
     ga, gpa = _check_pair(g, gp, symmetric=True)
     n = ga.shape[0]
     check_rank(k, n)
     if spectral is None:
-        spectral = sym_spectral_norm(_sym_diff(ga, gpa))
-    wp, vk = sym_eig_top(gpa, k)
-    lhs = float(np.linalg.norm(ga - (vk * wp) @ vk.T))
-    return lhs, _rank_k_rhs(lhs, _spectrum(ga), spectral, k)
+        spectral = sym_spectral_norm(ga - gpa)
+    lhs = _rank_k_gap(ga, gpa, k)
+    return lhs, _rank_k_rhs(lhs, _rank_k_gap(ga, ga, k), spectral, k, n)
 
 
 def _score_factor(
-    g_exact: np.ndarray, spectrum: np.ndarray | None, f: np.ndarray, k: int | None
+    g_exact: np.ndarray, tail: float | None, f: np.ndarray, k: int | None
 ) -> tuple[float, float, float | None]:
     """(spectral, Frobenius, rank-k Frobenius) errors of G' = F F^T, normalized.
 
@@ -135,18 +139,18 @@ def _score_factor(
     difference is scored without the dense API's symmetry scans. G'_k =
     U_k S_k^2 U_k^T from the thin SVD F = U S V^T, with k capped at the
     factor's width r; these are the top-k eigenpairs of the PSD G'. The
-    rank-k score is computed when the run's `spectrum` is given.
+    rank-k score is computed when the run's `tail` ||G - G_k||_F is given.
     """
     n = g_exact.shape[0]
     diff = g_exact - factor_gram(f)
     spectral = sym_spectral_norm(diff)
     frobenius = float(np.linalg.norm(diff))
     rank_k = None
-    if spectrum is not None:
+    if tail is not None:
         u, s, _ = thin_svd(f)
         t = u[:, :k] * s[:k]
         lhs = float(np.linalg.norm(g_exact - t @ t.T))
-        _rank_k_rhs(lhs, spectrum, spectral, k)
+        _rank_k_rhs(lhs, tail, spectral, k, n)
         rank_k = lhs / n**2
     return spectral / n, frobenius / n**2, rank_k
 
@@ -183,44 +187,27 @@ class BenchmarkCell:
 
 @dataclass
 class ErrorReport:
-    """Scores and provenance for one benchmark cell."""
+    """Scores and provenance for one benchmark cell, in report column order."""
 
     method: str
+    n: int
+    d: int
+    sigma: float
+    seed: int
     sample_size: int
+    m: int | None
+    ell: int | None
+    c: int | None
+    k: int | None
     space_entries: int
     spectral_err: float
     frobenius_err: float
     rank_k_frobenius: float | None
     train_seconds: float
     test_seconds: float
-    seed: int
-    n: int
-    d: int
-    k: int | None
-    sigma: float
-    m: int | None
-    ell: int | None
-    c: int | None
 
 
-REPORT_COLUMNS = [
-    "method",
-    "n",
-    "d",
-    "sigma",
-    "seed",
-    "sample_size",
-    "m",
-    "ell",
-    "c",
-    "k",
-    "space_entries",
-    "spectral_err",
-    "frobenius_err",
-    "rank_k_frobenius",
-    "train_seconds",
-    "test_seconds",
-]
+REPORT_COLUMNS = [field.name for field in fields(ErrorReport)]
 
 # wall-clock fields are the only nondeterministic report columns
 TIMING_COLUMNS = ("train_seconds", "test_seconds")
@@ -270,7 +257,7 @@ def _run_cell(
     data: np.ndarray,
     test_set: np.ndarray,
     g_exact: np.ndarray,
-    g_spectrum: np.ndarray | None,
+    g_tail: float | None,
     k: int | None,
     kernel: KernelSpec,
     cell_seed: int,
@@ -288,7 +275,7 @@ def _run_cell(
 
     factor = model.gram_factor(data, k=cell.k)
     test_seconds, _ = _median_time(test_pass, timing_reps)
-    spec_err, frob_err, rank_k = _score_factor(g_exact, g_spectrum, factor, k)
+    spec_err, frob_err, rank_k = _score_factor(g_exact, g_tail, factor, k)
 
     return ErrorReport(
         method=cell.method,
@@ -327,7 +314,7 @@ def run_benchmark(
     grid is reproducible cell-by-cell regardless of execution order; cells
     are independent and fan out over `jobs` worker threads with an
     order-preserving merge. The oracle gram and, when a rank k is scored,
-    its spectrum are computed once, before the cells fan out.
+    its rank-k tail are computed once, before the cells fan out.
     """
     if not grid:
         return []
@@ -348,13 +335,13 @@ def run_benchmark(
             f"or raise {ORACLE_MAX_N_ENV}"
         )
     g_exact = gram(kernel, arr)
-    g_spectrum = _spectrum(g_exact) if k is not None else None
+    g_tail = _rank_k_gap(g_exact, g_exact, k) if k is not None else None
 
     def job(item):
         idx, cell = item
         cell_seed = substream_seed(seed, "benchmark_cell", idx)
         return _run_cell(
-            cell, arr, tst, g_exact, g_spectrum, k, kernel, cell_seed, timing_reps
+            cell, arr, tst, g_exact, g_tail, k, kernel, cell_seed, timing_reps
         )
 
     items = list(enumerate(grid))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConfigurationError, ContractViolationError
-from .numerics import as_matrix, as_vector, sym_eig_top
+from .numerics import as_matrix, as_vector
 
 KERNEL_FAMILIES = ("gaussian",)
 
@@ -73,18 +73,3 @@ def cross_gram(spec: KernelSpec, a, b) -> np.ndarray:
         )
     sq = cdist(am, bm, "sqeuclidean")
     return np.exp(-sq / (2.0 * spec.sigma**2))
-
-
-def best_rank_k(g, k: int) -> np.ndarray:
-    """Best rank-k approximation of a symmetric PSD gram matrix.
-
-    Keeps the k leading eigenpairs, which minimizes the Frobenius distance
-    over all matrices of rank <= k; only those k are computed.
-    """
-    arr = as_matrix(g, "gram matrix")
-    n = arr.shape[0]
-    if not 1 <= k <= n:
-        raise ContractViolationError(f"rank k must be in [1, {n}], got {k}")
-    w, vk = sym_eig_top(arr, k)
-    gk = (vk * w) @ vk.T
-    return (gk + gk.T) / 2.0

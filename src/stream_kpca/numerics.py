@@ -1,11 +1,11 @@
 """Dense linear-algebra kernel: thin SVD, symmetric eigendecomposition
-(full or top-k), Moore-Penrose pseudoinverse, a Lanczos spectral norm for
-symmetric matrices and a power-iteration spectral norm for general ones.
+(full or top-k), and spectral norms of symmetric and general matrices.
 
-Factorizations delegate to LAPACK (via numpy and scipy). The symmetric
-spectral norm runs ARPACK's Lanczos iteration to machine precision, which
-is what the error measures use; the power iteration stays available for
-non-symmetric inputs and as an independent cross-check.
+Factorizations delegate to LAPACK (via numpy and scipy). The top-k
+eigenpairs and the symmetric spectral norm, which the error measures use,
+run ARPACK's Lanczos iteration to machine precision from a fixed seeded
+start vector, so results repeat exactly. The general spectral norm is the
+exact largest singular value from LAPACK's SVD.
 
 All functions are pure: no shared mutable state, safe to call concurrently.
 """
@@ -21,9 +21,6 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 from .errors import ContractViolationError, NumericalFailureError
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
-
-POWER_ITER_TOL = 1e-6
-POWER_ITER_CAP = 10_000
 
 LANCZOS_SEED = 0  # seeds the fixed Lanczos start vector, so results repeat
 
@@ -83,7 +80,10 @@ def thin_svd(a) -> SvdResult:
 
 
 def _symmetrized(g, name: str) -> np.ndarray:
-    """(g + g.T) / 2 after checking g is square and symmetric to 1e-10 * ||g||_F."""
+    """(g + g.T) / 2 after checking g is square and symmetric to 1e-10 * ||g||_F.
+
+    An exactly symmetric g is returned as it is, which is the same value.
+    """
     arr = as_matrix(g, f"{name} input")
     n, m = arr.shape
     if n != m:
@@ -94,7 +94,7 @@ def _symmetrized(g, name: str) -> np.ndarray:
         raise ContractViolationError(
             f"matrix is not symmetric: ||g - g.T||_F = {asym:.3e} vs ||g||_F = {scale:.3e}"
         )
-    return (arr + arr.T) / 2.0
+    return (arr + arr.T) / 2.0 if asym else arr
 
 
 def sym_eig(g) -> tuple[np.ndarray, np.ndarray]:
@@ -119,18 +119,40 @@ def sym_eig_top(g, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k algebraically largest eigenpairs of a symmetric matrix.
 
     Same contract as `sym_eig` (symmetry check, non-increasing signed
-    eigenvalues, orthonormal eigenvector columns), but LAPACK computes only
-    the requested eigenpairs, which costs far less than the full
-    decomposition when k is small.
+    eigenvalues, orthonormal eigenvector columns), but only the requested
+    eigenpairs are computed: by Lanczos iteration (`_lanczos`) when k is a
+    small share of n, else by LAPACK's subset eigensolver. The subset
+    solver also takes k = n, which ARPACK refuses, and the zero matrix,
+    which ARPACK cannot start from.
     """
     sym = _symmetrized(g, "sym_eig_top")
     n = sym.shape[0]
     check_rank(k, n)
+    if 4 * k < n and sym.any():
+        w, v = _lanczos(sym, k, "LA")
+        return w[::-1], v[:, ::-1]
     try:
         w, v = scipy.linalg.eigh(sym, subset_by_index=[n - k, n - 1])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition did not converge: {exc}") from exc
     return w[::-1], v[:, ::-1]
+
+
+def _lanczos(sym: np.ndarray, k: int, which: str, return_eigenvectors: bool = True):
+    """ARPACK `eigsh` to machine precision (tol=0) from a fixed seeded start vector.
+
+    The caller guarantees symmetry: ARPACK reads the matrix only through
+    matrix-vector products and assumes sym = sym.T. The seeded Gaussian
+    start vector makes results repeat exactly. Eigenvalues come back in
+    ascending order.
+    """
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(sym.shape[0])
+    try:
+        return eigsh(
+            sym, k=k, which=which, tol=0, v0=v0, return_eigenvectors=return_eigenvectors
+        )
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise NumericalFailureError(f"Lanczos iteration failed: {exc}") from exc
 
 
 def factor_gram(f) -> np.ndarray:
@@ -140,93 +162,23 @@ def factor_gram(f) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def pinv(a, rtol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
-
-    Singular values sigma_i <= rtol * sigma_1 are treated as zero. The
-    default rtol = max(rows, cols) * machine epsilon is the standard
-    rank-revealing choice.
-    """
-    arr = as_matrix(a, "pinv input")
-    if rtol is None:
-        rtol = max(arr.shape) * MACHINE_EPS
-    if rtol < 0:
-        raise ContractViolationError(f"pinv cutoff must be >= 0, got {rtol}")
-    u, s, v = thin_svd(arr)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((arr.shape[1], arr.shape[0]))
-    cutoff = rtol * s[0]
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (v * inv_s) @ u.T
-
-
 def spectral_norm(a) -> float:
-    """Largest singular value via power iteration on the normal matrix.
-
-    Iterates v <- A.T (A v) from the deterministic all-ones start vector so
-    runs are reproducible. The Rayleigh quotient rho = ||A v||^2 increases
-    geometrically toward sigma_1^2; the raw step-to-step change understates
-    the remaining error when the spectral gap is small, so the stopping
-    rule extrapolates the geometric tail (ratio of successive changes) and
-    stops once the estimated remaining change is below 1e-6 relative.
-    Symmetric inputs work unchanged: +/- lambda_1 both fold onto
-    lambda_1^2.
-    """
-    arr = as_matrix(a, "spectral_norm input")
-    v = np.ones(arr.shape[1]) / np.sqrt(arr.shape[1])
-    rho_prev = None
-    delta_prev = None
-    stalled = 0
-    for _ in range(POWER_ITER_CAP):
-        av = arr @ v
-        rho = float(av @ av)
-        if rho == 0.0:
-            return 0.0
-        w = arr.T @ av
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        if rho_prev is not None:
-            delta = rho - rho_prev
-            if delta <= 0.0:
-                return float(np.sqrt(rho))  # monotone sequence hit fp resolution
-            if delta <= MACHINE_EPS * rho:
-                stalled += 1
-                if stalled >= 2:
-                    return float(np.sqrt(rho))
-            else:
-                stalled = 0
-            if delta_prev is not None and delta_prev > 0.0:
-                ratio = delta / delta_prev
-                if ratio < 1.0 and delta * ratio / (1.0 - ratio) <= POWER_ITER_TOL * rho:
-                    return float(np.sqrt(rho))
-            delta_prev = delta
-        rho_prev = rho
-    raise NumericalFailureError(
-        f"power iteration did not converge within {POWER_ITER_CAP} iterations"
-    )
+    """Largest singular value of a dense matrix, from LAPACK's full SVD."""
+    return float(np.linalg.norm(as_matrix(a, "spectral_norm input"), 2))
 
 
 def sym_spectral_norm(a) -> float:
     """Largest |eigenvalue| of a symmetric matrix, by Lanczos iteration.
 
-    The caller guarantees symmetry: ARPACK reads the whole matrix through
-    matrix-vector products and assumes a = a.T. The iteration runs to
-    machine precision (tol=0) from a fixed seeded Gaussian start vector, so
-    the result repeats exactly and does not read low the way a stopped power
-    iteration can. A zero matrix returns 0.0; n = 1, which ARPACK refuses,
-    takes the dense eigensolver.
+    The caller guarantees symmetry (see `_lanczos`). The iteration runs to
+    machine precision, so the result does not read low the way a stopped
+    power iteration can. A zero matrix returns 0.0; n = 1, which ARPACK
+    refuses, takes the dense eigensolver.
     """
     arr = as_matrix(a, "sym_spectral_norm input")
-    n = arr.shape[0]
     if float(np.linalg.norm(arr)) == 0.0:
         return 0.0
-    if n < 2:
+    if arr.shape[0] < 2:
         return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
-    try:
-        w = eigsh(arr, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise NumericalFailureError(f"Lanczos iteration failed: {exc}") from exc
+    w = _lanczos(arr, 1, "LM", return_eigenvectors=False)
     return abs(float(w[0]))

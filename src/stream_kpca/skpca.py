@@ -44,6 +44,13 @@ def derive_sketch_size(eps: float) -> int:
     return ell if ell % 2 == 0 else ell + 1
 
 
+def eps_delta_given(eps: float | None, delta: float | None) -> bool:
+    """Whether (eps, delta) is given; raises unless both or neither are."""
+    if (eps is None) != (delta is None):
+        raise ConfigurationError("eps and delta must be given together")
+    return eps is not None
+
+
 def check_eps_delta(eps: float, delta: float) -> None:
     if not 0 < eps < 1:
         raise ConfigurationError(f"eps must be in (0, 1), got {eps}")
@@ -72,9 +79,7 @@ class SkpcaConfig:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.eps is None) != (self.delta is None):
-            raise ConfigurationError("eps and delta must be given together")
-        if self.eps is not None:
+        if eps_delta_given(self.eps, self.delta):
             check_eps_delta(self.eps, self.delta)
         if self.eps is None and (self.m is None or self.ell is None):
             raise ConfigurationError("either (m, ell) or (eps, delta) must be set")

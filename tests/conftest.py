@@ -29,3 +29,16 @@ def exact_phi(g: np.ndarray) -> np.ndarray:
     """
     w, v = sym_eig(g)
     return v * np.sqrt(np.maximum(w, 0.0))
+
+
+def dense_wk_pinv(w: np.ndarray, k: int) -> np.ndarray:
+    """pinv(W_k) for a c x c kernel matrix W, by numpy's own routes.
+
+    W_k keeps the k leading eigenpairs of `np.linalg.eigh(W)`; the hermitian
+    pinv then drops eigenvalues at or below c * machine epsilon * lambda_1,
+    the cutoff the Nystrom model uses.
+    """
+    lam, v = np.linalg.eigh(w)
+    vk = v[:, ::-1][:, :k]
+    wk = (vk * lam[::-1][:k]) @ vk.T
+    return np.linalg.pinv(wk, rcond=w.shape[0] * np.finfo(np.float64).eps, hermitian=True)

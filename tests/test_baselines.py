@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import gaussian_mixture
+from conftest import dense_wk_pinv, gaussian_mixture
 
 from stream_kpca import (
     ConfigurationError,
@@ -8,13 +8,11 @@ from stream_kpca import (
     KernelSpec,
     NystromModel,
     SkpcaConfig,
-    best_rank_k,
     cross_gram,
     eval_kernel,
     gram,
     nystrom_space_entries,
     nystrom_train,
-    pinv,
     reservoir_sample,
     rnca_space_entries,
     rnca_train,
@@ -175,15 +173,18 @@ class TestNystrom:
         g = gram(spec, data)
         c_row, _ = model.test(data[4])
         c_mat = np.array([[eval_kernel(spec, x, s) for s in model.samples] for x in data])
-        column = c_mat @ model.wk_pinv @ c_row
+        column = c_mat @ dense_wk_pinv(g, 12) @ c_row
         assert np.linalg.norm(column - g[:, 4]) <= 1e-6 * 12
 
     def test_wk_pinv_matches_dense_route(self, spec):
-        # oracle: pinv(best_rank_k(W)) computed through the generic dense path
+        # reconstruct applies pinv(W_k) through its factor; oracle: C pinv(W_k) C^T
+        # with pinv(W_k) from numpy's dense eigh and pinv
         data = gaussian_mixture(10, 3, seed=16)
         model = NystromModel.from_samples(spec, data, k=4)
-        dense = pinv(best_rank_k(gram(spec, data), 4))
-        assert np.allclose(model.wk_pinv, dense, atol=1e-8)
+        points = gaussian_mixture(15, 3, seed=24)
+        c_mat = cross_gram(spec, points, data)
+        dense = c_mat @ dense_wk_pinv(gram(spec, data), 4) @ c_mat.T
+        assert np.allclose(model.reconstruct(points), dense, rtol=0, atol=1e-8)
 
     def test_reconstruct_symmetric_low_rank(self, spec):
         data = gaussian_mixture(25, 3, seed=17)
@@ -211,7 +212,7 @@ class TestNystrom:
         points = np.vstack([gaussian_mixture(30, 3, seed=23), distinct])
         loadings = np.vstack([model.test(x)[1] for x in points])
         c_mat = cross_gram(spec, points, model.samples)
-        want = c_mat @ model.wk_pinv @ c_mat.T
+        want = c_mat @ dense_wk_pinv(model.w, k) @ c_mat.T
         assert np.max(np.abs(loadings @ loadings.T - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_k_out_of_range(self, spec):
@@ -237,7 +238,7 @@ def _direct(method, spec, seed, data):
         model = rnca_train(sample_feature_map(spec, SIZES["rnca"]["m"], data.shape[1], seed), data)
         return model, ("cov", "eigvals", "eigvecs")
     model = nystrom_train(spec, **SIZES["nystrom"], seed=seed, stream=data)
-    return model, ("samples", "eigvals", "eigvecs", "wk_pinv")
+    return model, ("samples", "eigvals", "eigvecs")
 
 
 class TestRegistry:
@@ -280,6 +281,14 @@ class TestRegistry:
             MODELS[method].resolve({**missing, name: 3}, 0.45, 0.2, 80)
         with pytest.raises(ConfigurationError, match="delta must be in"):
             MODELS[method].resolve(missing, 0.45, 1.5, 80)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_resolve_needs_eps_and_delta_together(self, method):
+        unsized = dict.fromkeys(MODELS[method].sizes)
+        for eps, delta, sizes in ((0.45, None, unsized), (None, 0.2, unsized),
+                                  (None, 0.2, SIZES[method])):
+            with pytest.raises(ConfigurationError, match="eps and delta must be given together"):
+                MODELS[method].resolve(sizes, eps, delta, 80)
 
     def test_nystrom_answers_only_at_its_rank(self, spec):
         model = nystrom_train(spec, c=6, k=3, seed=0, stream=gaussian_mixture(20, 2, seed=1))

@@ -68,6 +68,40 @@ class TestSpectralError:
             spectral_error(g, bad)
 
 
+class TestSymmetryTolerance:
+    """The dense API accepts asymmetry up to 1e-8 ||G||_F in either matrix and
+    hands the eigensolvers the symmetrized pair."""
+
+    @staticmethod
+    def _skewed(g, rel):
+        # ||m - m.T||_F = rel * ||g||_F
+        rng = np.random.default_rng(9)
+        r = rng.standard_normal(g.shape)
+        skew = (r - r.T) / 2.0
+        return g + skew * (rel * np.linalg.norm(g) / (2.0 * np.linalg.norm(skew)))
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_small_asymmetry_accepted_by_all(self, small_gram, spec, which):
+        g, data = small_gram
+        gp = train(SkpcaConfig(kernel=spec, seed=2, m=32, ell=4), data).reconstruct_gram(data)
+        pair = [g, gp]
+        pair[which] = self._skewed(pair[which], 1e-9)
+        assert spectral_error(*pair) > 0.0
+        assert frobenius_error(*pair) > 0.0
+        lhs, rhs = rank_k_frobenius_check(*pair, 3)
+        assert lhs <= rhs
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_large_asymmetry_rejected(self, small_gram, which):
+        g, _ = small_gram
+        pair = [g, g.copy()]
+        pair[which] = self._skewed(pair[which], 1e-7)
+        with pytest.raises(ContractViolationError, match="not symmetric"):
+            spectral_error(*pair)
+        with pytest.raises(ContractViolationError, match="not symmetric"):
+            rank_k_frobenius_check(*pair, 3)
+
+
 class TestFrobeniusError:
     def test_zero_for_identical(self, small_gram):
         g, _ = small_gram

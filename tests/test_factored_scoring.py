@@ -7,7 +7,7 @@ never read below a dense eigensolver on G - G'.
 
 import numpy as np
 import pytest
-from conftest import gaussian_mixture
+from conftest import dense_wk_pinv, gaussian_mixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,7 +138,7 @@ def _reference_gram(model, data):
     """The reconstructed gram by each method's direct formula, not through F."""
     if isinstance(model, NystromModel):
         c_mat = cross_gram(SPEC, data, model.samples)
-        return c_mat @ model.wk_pinv @ c_mat.T
+        return c_mat @ dense_wk_pinv(model.w, model.k) @ c_mat.T
     basis = model.w if hasattr(model, "w") else model.eigvecs
     t = model.fm.apply_batch(data) @ basis
     return t @ t.T
@@ -157,7 +157,7 @@ class TestGramFactor:
 
     def test_nystrom_factor_drops_eigenvalues_under_cutoff(self):
         # near-duplicate samples put eigenvalues of W under the cutoff; their
-        # directions must contribute nothing, as in wk_pinv
+        # directions must contribute nothing, as in pinv(W_k)
         data = gaussian_mixture(12, 2, seed=14)
         near = data[:3] + 1e-8 * np.random.default_rng(15).standard_normal((3, 2))
         model = NystromModel.from_samples(SPEC, np.vstack([data[:5], near]), k=8)
@@ -202,13 +202,13 @@ class TestGramFactor:
 class TestOracleSpectrumOnce:
     def test_one_eigensolve_per_run(self, monkeypatch):
         calls = []
-        real = evaluation._spectrum
+        real = evaluation._rank_k_gap
 
-        def counting(g):
+        def counting(g, x, k):
             calls.append(g.shape)
-            return real(g)
+            return real(g, x, k)
 
-        monkeypatch.setattr(evaluation, "_spectrum", counting)
+        monkeypatch.setattr(evaluation, "_rank_k_gap", counting)
         grid = [
             BenchmarkCell(method="skpca", m=24, ell=4),
             BenchmarkCell(method="rnca", m=16),
@@ -219,7 +219,7 @@ class TestOracleSpectrumOnce:
         assert calls == [(60, 60)]
 
     def test_no_eigensolve_without_k(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_spectrum", None)
+        monkeypatch.setattr(evaluation, "_rank_k_gap", None)
         data = gaussian_mixture(30, 3, seed=12)
         [report] = run_benchmark(
             [BenchmarkCell(method="rnca", m=8)], data, data[:5], kernel=SPEC, timing_reps=1
