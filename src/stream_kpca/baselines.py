@@ -4,9 +4,10 @@ Both read the stream one checked point at a time through
 `dataio.row_blocks`, the ingest path SKPCA also uses.
 
 RNCA performs exact linear PCA on the random-feature lift of the stream by
-accumulating the m x m covariance one outer product per point, then
-eigendecomposing once at the end of training. Test projection and the gram
-factor are `rff.FeatureMapModel`'s, on the covariance eigenvectors.
+accumulating the m x m covariance with one in-place symmetric rank-one
+update per point (BLAS `dsyr`, on one triangle, mirrored once at the end),
+then eigendecomposing once at the end of training. Test projection and the
+gram factor are `rff.FeatureMapModel`'s, on the covariance eigenvectors.
 
 The Nystrom baseline keeps c independent single-slot reservoir samplers
 (slot i replaces its content at stream step t with probability 1/t, so
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg.blas import dsyr
 
 from .counters import EntryCounter
 from .dataio import row_blocks
@@ -89,24 +91,31 @@ class RncaModel(FeatureMapModel):
 
 
 def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
-    """Accumulate Cov = sum_i z_i z_i^T in one pass; eigendecompose once at the end."""
+    """Accumulate Cov = sum_i z_i z_i^T in one pass; eigendecompose once at the end.
+
+    Each point is one in-place `dsyr` update of one triangle; the triangle
+    is mirrored once at the end, so `cov` is C-contiguous and exactly
+    symmetric.
+    """
     counter = EntryCounter()
     m = fm.m
     counter.alloc(m * fm.d + m)  # feature map
     cov = np.zeros((m, m))
     counter.alloc(m * m)
-    counter.alloc(2 * m)  # lifted-row buffer + accumulation row scratch
+    counter.alloc(m)  # lifted row
+    acc = cov.T  # F-contiguous view of cov; dsyr updates its upper triangle in place
     n_seen = 0
     for block in row_blocks(stream, 1):  # one rank-one update per point
         if block.shape[1] != fm.d:  # only point 0 can differ: row_blocks holds the rest to it
             raise ContractViolationError(
                 f"stream point {n_seen} has dimension {block.shape[1]}, expected {fm.d}"
             )
-        z = fm.apply(block[0])
-        counter.alloc(m * m)  # outer-product temporary
-        cov += np.outer(z, z)
-        counter.free(m * m)
+        # rebound, so the sum stays right even if the wrapper ever copies
+        acc = dsyr(1.0, fm.apply(block[0]), a=acc, lower=0, overwrite_a=1)
         n_seen += 1
+    cov = acc.T  # C-contiguous again; the sums sit in its lower triangle
+    for j in range(1, m):  # mirror it, one column at a time
+        cov[:j, j] = cov[j, :j]
     counter.alloc(m * m + m)  # eigendecomposition output
     eigvals, eigvecs = sym_eig(cov)
     return RncaModel(

@@ -8,6 +8,7 @@ from stream_kpca import (
     KernelSpec,
     NystromModel,
     SkpcaConfig,
+    baselines,
     cross_gram,
     eval_kernel,
     gram,
@@ -94,6 +95,28 @@ class TestRnca:
         fm = sample_feature_map(spec, m=m, d=d, seed=10)
         model = rnca_train(fm, gaussian_mixture(50, d, seed=10))
         assert model.peak_entries <= 3 * rnca_space_entries(m, d)
+
+    @pytest.mark.parametrize("m, d, expected", [(1024, 20, 2_120_704), (7, 3, 140)])
+    def test_peak_entries_itemized(self, spec, m, d, expected):
+        fm = sample_feature_map(spec, m=m, d=d, seed=11)
+        model = rnca_train(fm, gaussian_mixture(5, d, seed=11))
+        # map, cov, lifted row, eigendecomposition
+        assert model.peak_entries == (m * d + m) + m * m + m + (m * m + m) == expected
+        assert model.peak_entries <= 3 * rnca_space_entries(m, d)
+
+    def test_rank_one_update_is_in_place(self, spec, monkeypatch):
+        fm = sample_feature_map(spec, m=16, d=3, seed=12)
+        dsyr, calls = baselines.dsyr, []
+
+        def spy(*args, **kwargs):
+            calls.append(dsyr(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(baselines, "dsyr", spy)
+        model = rnca_train(fm, gaussian_mixture(6, 3, seed=12))
+        # a silent copy per point would return arrays that share no memory with cov
+        assert len(calls) == 6
+        assert all(np.shares_memory(out, model.cov) for out in calls)
 
 
 class TestReservoir:

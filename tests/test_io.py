@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import gaussian_mixture
 
+import stream_kpca
 from stream_kpca import (
     ContractViolationError,
     KernelSpec,
@@ -199,6 +204,27 @@ class TestPersistence:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_rnca_file_byte_identical_across_blas_threads(self, tmp_path):
+        # at m = 1,024 OpenBLAS splits its calls across the threads it is given
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[2])\n"
+            "from conftest import gaussian_mixture\n"
+            "from stream_kpca import KernelSpec, rnca_train, sample_feature_map, save_model\n"
+            "fm = sample_feature_map(KernelSpec(sigma=3.5), 1024, 20, 2)\n"
+            "save_model(rnca_train(fm, gaussian_mixture(50, 20, seed=0)), sys.argv[1])\n"
+        )
+        package_root = str(Path(stream_kpca.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        files = []
+        for threads in ("1", "2"):
+            files.append(tmp_path / f"rnca_{threads}_threads.json")
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+            subprocess.run(
+                [sys.executable, "-c", script, str(files[-1]), str(Path(__file__).parent)],
+                env=env, check=True, timeout=300,
+            )
+        assert files[0].read_bytes() == files[1].read_bytes()
 
     def test_rnca_round_trip(self, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=5)
