@@ -30,7 +30,15 @@ from .counters import EntryCounter
 from .dataio import row_blocks
 from .errors import ConfigurationError, ContractViolationError
 from .kernels import KernelSpec, cross_gram, gram
-from .numerics import MACHINE_EPS, as_matrix, as_vector, check_rank, factor_gram, sym_eig
+from .numerics import (
+    MACHINE_EPS,
+    as_matrix,
+    as_vector,
+    check_rank,
+    check_shape,
+    factor_gram,
+    sym_eig,
+)
 from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature_map
 from .skpca import check_eps_delta, derive_feature_count, eps_delta_given, settle_size
 
@@ -68,11 +76,11 @@ class RncaModel(FeatureMapModel):
     @classmethod
     def from_record(cls, kernel: KernelSpec, record: dict) -> "RncaModel":
         fm = stored_feature_map(kernel, record)
-        cov = np.asarray(record["cov"], dtype=np.float64).reshape(fm.m, fm.m)
+        cov = check_shape(record["cov"], (fm.m, fm.m), "cov")
         return cls(fm, cov, record["n_seen"], *sym_eig(cov), record["peak_entries"])
 
     def record_fields(self) -> dict:
-        return {"m": self.m, "rff_sha256": self.fm.checksum(), "cov": self.cov.tolist()}
+        return {"m": self.m, "rff_sha256": self.fm.checksum(), "cov": self.cov}
 
     @property
     def m(self) -> int:
@@ -165,13 +173,13 @@ class NystromModel:
 
     @classmethod
     def from_record(cls, kernel: KernelSpec, record: dict) -> "NystromModel":
-        samples = np.asarray(record["samples"], dtype=np.float64).reshape(record["c"], record["d"])
+        samples = check_shape(record["samples"], (record["c"], record["d"]), "samples")
         counts = {name: record[name] for name in ("seed", "n_seen", "replacements")}
         return cls.from_samples(kernel, samples, record["k"], **counts)
 
     def record_fields(self) -> dict:
         fields = {"c": self.c, "k": self.k, "replacements": self.replacements}
-        return {**fields, "samples": self.samples.tolist()}
+        return {**fields, "samples": self.samples}
 
     @property
     def c(self) -> int:
@@ -190,10 +198,12 @@ class NystromModel:
         return nystrom_space_entries(self.c, self.d)
 
     def answer(self, x, k: int) -> tuple[np.ndarray, float]:
+        """`test`'s loading and `residual`, from one projection V_k^T c_row."""
         if k != self.k:
             raise ConfigurationError(f"nystrom rank is fixed at train time (k={self.k})")
-        c_row, loading = self.test(x)
-        return loading, self.residual(c_row)
+        c_row = self._kernel_row(x)
+        p = self._project(c_row)
+        return self._loading(p), self._residual(c_row, p)
 
     @property
     def w(self) -> np.ndarray:
@@ -245,19 +255,31 @@ class NystromModel:
         inv from `_truncated_inverse`, so pairwise loading inner products
         reproduce the reconstructed gram entries. Costs O(cd + ck).
         """
+        c_row = self._kernel_row(x)
+        return c_row, self._loading(self._project(c_row))
+
+    def residual(self, c_row: np.ndarray) -> float:
+        """Norm of the kernel row outside the rank-k eigenspace of W."""
+        return self._residual(c_row, self._project(c_row))
+
+    def _project(self, c_row: np.ndarray) -> np.ndarray:
+        """p = V_k^T c_row, shared by the loading and the residual."""
+        return self.eigvecs[:, : self.k].T @ c_row
+
+    def _loading(self, p: np.ndarray) -> np.ndarray:
+        return np.sqrt(_truncated_inverse(self.eigvals, self.k)) * p
+
+    def _residual(self, c_row: np.ndarray, p: np.ndarray) -> float:
+        return float(np.linalg.norm(c_row - self.eigvecs[:, : self.k] @ p))
+
+    def _kernel_row(self, x) -> np.ndarray:
+        """The kernel values of one checked point against the samples."""
         xv = as_vector(x, "point")
         if xv.size != self.samples.shape[1]:
             raise ContractViolationError(
                 f"point has dimension {xv.size}, samples have {self.samples.shape[1]}"
             )
-        c_row = cross_gram(self.kernel, xv[None, :], self.samples)[0]
-        inv = _truncated_inverse(self.eigvals, self.k)
-        return c_row, np.sqrt(inv) * (self.eigvecs[:, : self.k].T @ c_row)
-
-    def residual(self, c_row: np.ndarray) -> float:
-        """Norm of the kernel row outside the rank-k eigenspace of W."""
-        vk = self.eigvecs[:, : self.k]
-        return float(np.linalg.norm(c_row - vk @ (vk.T @ c_row)))
+        return cross_gram(self.kernel, xv[None, :], self.samples)[0]
 
     def gram_factor(self, a, k: int | None = None) -> np.ndarray:
         """The (n, k) factor C V_k diag(sqrt(inv)) of C pinv(W_k) C^T; k

@@ -43,6 +43,14 @@ def check_rank(k: int, r: int) -> None:
         raise ContractViolationError(f"k must be in [1, {r}], got {k}")
 
 
+def check_shape(a, shape: tuple, name: str) -> np.ndarray:
+    """Return `a`; raise unless it is an array of exactly this shape."""
+    if not isinstance(a, np.ndarray) or a.shape != shape:
+        got = a.shape if isinstance(a, np.ndarray) else type(a).__name__
+        raise ContractViolationError(f"{name} must be an array of shape {shape}, got {got}")
+    return a
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size < 1:

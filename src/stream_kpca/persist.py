@@ -7,22 +7,63 @@ Feature maps are regenerated from their recorded (family, sigma, m, d,
 seed) rather than storing the frequency matrix, so the persisted size stays
 O(1) in m*d while the logical object keeps its full space accounting; the
 record keeps a SHA-256 of the map's (r, gamma) bytes, and a load that draws
-a different map fails. Serialization is byte-stable: identical training
-inputs produce identical files.
+a different map fails.
+
+Every float array in a record (SKPCA's w and s, RNCA's cov, Nystrom's
+samples and the envelope's center) goes through one codec:
+{"shape": [...], "f8le": base64 of its little-endian float64 C-order bytes}.
+Raw bytes keep every value bit for bit and let the m x m RNCA covariance
+encode and decode at memory speed, where decimal text took seconds and
+twice the space. A decoded array is a writable, C-contiguous float64 array
+with finite entries; any other payload is refused. Serialization is
+byte-stable: identical training inputs produce identical files.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .kernels import KernelSpec
 from .methods import MODELS
+from .numerics import check_shape
 
 MODEL_FORMAT = "stream-kpca-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
+
+
+def encode_array(a: np.ndarray) -> dict:
+    """A float array as its shape plus base64 of its little-endian float64 C-order bytes."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"shape": list(a.shape), "f8le": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_array(value: dict, name: str) -> np.ndarray:
+    """The array `encode_array` wrote; raises ContractViolationError naming the
+    field for any other keys, a bad shape, invalid base64, a byte length that
+    does not match the shape, or a non-finite entry."""
+    if set(value) != {"f8le", "shape"}:
+        raise ContractViolationError(f"array field {name!r} needs exactly the keys f8le and shape")
+    shape = value["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ContractViolationError(f"array field {name!r} has invalid shape {shape!r}")
+    try:
+        raw = base64.b64decode(value["f8le"], validate=True)
+    except (TypeError, ValueError):
+        raise ContractViolationError(f"array field {name!r} is not valid base64") from None
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise ContractViolationError(
+            f"array field {name!r} holds {len(raw)} bytes, shape {shape} needs {need}"
+        )
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ContractViolationError(f"array field {name!r} contains non-finite entries")
+    return arr
 
 
 def save_model(model, path, center=None) -> None:
@@ -36,8 +77,12 @@ def save_model(model, path, center=None) -> None:
         "d": model.d,
         "n_seen": model.n_seen,
         "peak_entries": model.peak_entries,
-        "center": None if center is None else [float(v) for v in center],
+        "center": None if center is None else np.asarray(center, dtype=np.float64),
         **model.record_fields(),
+    }
+    record = {
+        key: encode_array(value) if isinstance(value, np.ndarray) else value
+        for key, value in record.items()
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
@@ -54,14 +99,22 @@ def load_model(path):
         if record.get("format") != MODEL_FORMAT:
             raise ContractViolationError(f"not a {MODEL_FORMAT} file")
         if record["version"] != MODEL_VERSION:
-            raise ContractViolationError(f"unsupported model version {record['version']!r}")
+            raise ContractViolationError(
+                f"unsupported model version {record['version']!r} (this build reads "
+                f"version {MODEL_VERSION}; retrain the model)"
+            )
         if record["method"] not in MODELS:
             raise ContractViolationError(f"unknown method {record['method']!r}")
+        # only encoded arrays are JSON objects in a record
+        record = {
+            key: decode_array(value, key) if isinstance(value, dict) else value
+            for key, value in record.items()
+        }
         kernel = KernelSpec(family=record["family"], sigma=record["sigma"])
         model = MODELS[record["method"]].from_record(kernel, record)
         center = record["center"]
         if center is not None:
-            center = np.asarray(center, dtype=np.float64).reshape(model.d)
+            check_shape(center, (model.d,), "center")
         return model, center
     except ContractViolationError as exc:
         raise ContractViolationError(f"{path}: {exc}") from None

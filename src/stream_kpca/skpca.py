@@ -25,6 +25,7 @@ from .dataio import row_blocks
 from .errors import ConfigurationError
 from .fd import FdSketch
 from .kernels import KernelSpec
+from .numerics import check_shape
 from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature_map
 
 
@@ -134,13 +135,13 @@ class SkpcaModel(FeatureMapModel):
     @classmethod
     def from_record(cls, kernel: KernelSpec, record: dict) -> "SkpcaModel":
         fm, ell = stored_feature_map(kernel, record), record["ell"]
-        w = np.asarray(record["w"], dtype=np.float64).reshape(fm.m, ell)
-        s = np.asarray(record["s"], dtype=np.float64).reshape(ell)
+        w = check_shape(record["w"], (fm.m, ell), "w")
+        s = check_shape(record["s"], (ell,), "s")
         return cls(fm, w, s, record["n_seen"], record["peak_entries"])
 
     def record_fields(self) -> dict:
         fields = {"m": self.fm.m, "ell": self.ell, "rff_sha256": self.fm.checksum()}
-        return {**fields, "w": self.w.tolist(), "s": self.s.tolist()}
+        return {**fields, "w": self.w, "s": self.s}
 
     @property
     def ell(self) -> int:

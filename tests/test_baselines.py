@@ -176,6 +176,17 @@ class TestNystrom:
         assert c_row[3] == pytest.approx(1.0, abs=1e-12)
         assert loading.shape == (6,)
 
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_answer_is_test_and_residual(self, spec, k):
+        # answer shares one V_k^T c_row between the loading and the residual
+        data = gaussian_mixture(30, 3, seed=16)
+        model = nystrom_train(spec, c=8, k=k, seed=4, stream=data)
+        for x in data:
+            c_row, want_loading = model.test(x)
+            loading, residual = model.answer(x, k)
+            assert loading.tobytes() == want_loading.tobytes()
+            assert residual == model.residual(c_row)
+
     def test_loading_length_k(self, spec):
         data = gaussian_mixture(20, 3, seed=13)
         model = nystrom_train(spec, c=8, k=3, seed=3, stream=data)

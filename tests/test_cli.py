@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from stream_kpca.cli import main
 from stream_kpca.dataio import read_matrix_csv
 from stream_kpca.evaluation import read_reports_csv
+from stream_kpca.persist import decode_array, encode_array
 
 
 def run(*argv):
@@ -124,7 +126,7 @@ class TestTrain:
                    "--m", 16, "--ell", 4, "--center") == 0
         record = json.loads(model.read_text())
         data = read_matrix_csv(data_csv)
-        assert np.allclose(record["center"], data.mean(axis=0))
+        assert np.allclose(decode_array(record["center"], "center"), data.mean(axis=0))
 
 
 class TestTest:
@@ -166,12 +168,34 @@ class TestTest:
         assert all(len(r.split(",")) == 4 for r in rows)  # 3 loadings + residual
 
 
+def _with_w(record, **changes):
+    return {**record, "w": {**record["w"], **changes}}
+
+
+def _short_w(record):
+    raw = base64.b64decode(record["w"]["f8le"])[:-8]  # one entry short of the shape
+    return _with_w(record, f8le=base64.b64encode(raw).decode("ascii"))
+
+
+def _version_2(record):
+    """The same model in the version 2 layout, arrays as JSON lists."""
+    lists = {k: decode_array(v, k).tolist() for k, v in record.items() if isinstance(v, dict)}
+    return {**record, **lists, "version": 2}
+
+
 MALFORMED = {
     "not-an-object": lambda record: [1, 2],
     "no-method": lambda record: {k: v for k, v in record.items() if k != "method"},
     "no-w": lambda record: {k: v for k, v in record.items() if k != "w"},
     "w-not-numbers": lambda record: {**record, "w": "x"},
     "skpca-fields-as-rnca": lambda record: {**record, "method": "rnca"},
+    "w-wrong-length": _short_w,
+    "w-invalid-base64": lambda record: _with_w(record, f8le="#" + record["w"]["f8le"][1:]),
+    "w-wrong-shape": lambda record: _with_w(record, shape=record["w"]["shape"][::-1]),
+    "w-nan-payload": lambda record: {
+        **record, "w": encode_array(np.full(record["w"]["shape"], np.nan))
+    },
+    "version-2": _version_2,
 }
 
 

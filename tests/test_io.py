@@ -28,6 +28,7 @@ from stream_kpca.dataio import (
     write_matrix_csv,
 )
 from stream_kpca.methods import METHODS, MODELS
+from stream_kpca.persist import decode_array, encode_array
 
 
 class TestCsv:
@@ -182,6 +183,52 @@ def spec():
     return KernelSpec(sigma=1.5)
 
 
+SIZES = {"skpca": {"m": 24, "ell": 4}, "rnca": {"m": 16}, "nystrom": {"c": 8, "k": 5}}
+ARRAY_FIELDS = {"skpca": ("w", "s"), "rnca": ("cov",), "nystrom": ("samples",)}
+# signed zeros, the smallest subnormals, a mid-range subnormal, the extremes
+SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, np.finfo(np.float64).max, -np.pi]
+)
+
+
+class TestArrayCodec:
+    @pytest.mark.parametrize("shape", [(0,), (9,), (3, 3), (2, 9), (9, 2), (0, 4)])
+    def test_round_trip_bit_for_bit(self, shape):
+        a = np.resize(SPECIAL, shape)
+        for given in (a, np.asfortranarray(a), a.astype(">f8")):
+            back = decode_array(json.loads(json.dumps(encode_array(given))), "a")
+            assert back.shape == a.shape and back.dtype == np.float64
+            assert back.flags.c_contiguous and back.flags.writeable
+            assert back.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            (lambda v: {**v, "f8le": v["f8le"][:-4]}, "bytes"),
+            (lambda v: {**v, "f8le": "*" + v["f8le"][1:]}, "base64"),
+            (lambda v: {**v, "f8le": v["f8le"][:-1]}, "base64"),
+            (lambda v: {**v, "f8le": 7}, "base64"),
+            (lambda v: {**v, "shape": [3, -3]}, "shape"),
+            (lambda v: {**v, "shape": [9.0]}, "shape"),
+            (lambda v: {**v, "shape": 9}, "shape"),
+            (lambda v: {"f8le": v["f8le"]}, "keys"),
+            (lambda v: {**v, "dtype": "f8"}, "keys"),
+        ],
+    )
+    def test_malformed_payload_refused(self, change, match):
+        value = change(encode_array(SPECIAL))
+        with pytest.raises(ContractViolationError, match=match) as exc:
+            decode_array(value, "w")
+        assert "'w'" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        a = SPECIAL.copy()
+        a[4] = bad
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            decode_array(encode_array(a), "w")
+
+
 class TestPersistence:
     def test_skpca_round_trip(self, spec, tmp_path):
         data = gaussian_mixture(40, 3, seed=1)
@@ -197,12 +244,13 @@ class TestPersistence:
             assert np.array_equal(a[1], b[1])
             assert a[2] == b[2]
 
-    def test_skpca_byte_stable(self, spec, tmp_path):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_two_saves_byte_identical(self, method, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=3)
-        model = train(SkpcaConfig(kernel=spec, seed=4, m=16, ell=4), data)
+        model = MODELS[method].fit(spec, 4, data, **SIZES[method])
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_model(model, p1)
-        save_model(model, p2)
+        save_model(model, p1, center=data.mean(axis=0))
+        save_model(model, p2, center=data.mean(axis=0))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rnca_file_byte_identical_across_blas_threads(self, tmp_path):
@@ -248,6 +296,36 @@ class TestPersistence:
         assert np.allclose(loaded.reconstruct(data[:5]), model.reconstruct(data[:5]), atol=1e-12)
         assert loaded.k == 4
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_array_round_trips_bit_for_bit(self, method, spec, tmp_path):
+        data = gaussian_mixture(30, 3, seed=14)
+        model = MODELS[method].fit(spec, 15, data, **SIZES[method])
+        center = SPECIAL[[1, 2, 5]]  # -0.0, a subnormal, 1e308
+        path = tmp_path / "model.json"
+        save_model(model, path, center=center)
+        loaded, loaded_center = load_model(path)
+        assert loaded_center.tobytes() == center.tobytes()
+        for name in ARRAY_FIELDS[method]:
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "method,field",
+        [(m, f) for m in METHODS for f in ("center", *ARRAY_FIELDS[m])],
+    )
+    def test_non_finite_array_refused(self, method, field, bad, spec, tmp_path):
+        data = gaussian_mixture(30, 3, seed=16)
+        path = tmp_path / "model.json"
+        save_model(MODELS[method].fit(spec, 17, data, **SIZES[method]), path, center=data[0])
+        record = json.loads(path.read_text())
+        values = decode_array(record[field], field)
+        values.flat[-1] = bad
+        record[field] = encode_array(values)
+        path.write_text(json.dumps(record))
+        with pytest.raises(ContractViolationError, match="non-finite") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value) and repr(field) in str(exc.value)
+
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -263,8 +341,7 @@ class TestPersistence:
     @pytest.mark.parametrize("method", METHODS)
     def test_round_trip_answers_are_equal(self, method, spec, tmp_path):
         data = gaussian_mixture(40, 3, seed=9)
-        sizes = {"skpca": {"m": 24, "ell": 4}, "rnca": {"m": 16}, "nystrom": {"c": 8, "k": 5}}
-        model = MODELS[method].fit(spec, 11, data, **sizes[method])
+        model = MODELS[method].fit(spec, 11, data, **SIZES[method])
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded, _ = load_model(path)
@@ -281,7 +358,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(MODELS[method].fit(spec, 13, data, **sizes), path)
         record = json.loads(path.read_text())
-        assert record["version"] == 2 and len(record["rff_sha256"]) == 64
+        assert record["version"] == 3 and len(record["rff_sha256"]) == 64
         record["seed"] += 1
         path.write_text(json.dumps(record))
         with pytest.raises(ContractViolationError, match="checksum") as exc:
