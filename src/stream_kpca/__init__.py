@@ -21,7 +21,6 @@ from .evaluation import (
     run_benchmark,
     spectral_error,
     write_reports_csv,
-    write_reports_jsonl,
 )
 from .fd import FdSketch
 from .kernels import KernelSpec, cross_gram, eval_kernel, gram
@@ -89,5 +88,4 @@ __all__ = [
     "thin_svd",
     "train",
     "write_reports_csv",
-    "write_reports_jsonl",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -36,10 +37,15 @@ from .numerics import (
     as_vector,
     check_rank,
     check_shape,
-    factor_gram,
     sym_eig,
 )
-from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature_map
+from .rff import (
+    FeatureMap,
+    FeatureMapModel,
+    ProjectionModel,
+    sample_feature_map,
+    stored_feature_map,
+)
 from .skpca import check_eps_delta, derive_feature_count, eps_delta_given, settle_size
 
 
@@ -137,13 +143,13 @@ def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
 
 
 @dataclass(frozen=True)
-class NystromModel:
+class NystromModel(ProjectionModel):
     """Reservoir-sampled Nystrom approximation; immutable after training.
 
     Stores the sampled points and the eigendecomposition of their kernel
     matrix W (W itself is recomputable from the samples on demand, keeping
-    peak memory at the c^2 + cd budget). Implements the model protocol
-    described in `stream_kpca.methods`; the rank k is fixed at train time.
+    peak memory at the c^2 + cd budget). Its projection lifts a point to
+    its kernel row against the samples; the rank k is fixed at train time.
     """
 
     kernel: KernelSpec
@@ -197,14 +203,6 @@ class NystromModel:
     def space(self) -> int:
         return nystrom_space_entries(self.c, self.d)
 
-    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
-        """`test`'s loading and `residual`, from one projection V_k^T c_row."""
-        if k != self.k:
-            raise ConfigurationError(f"nystrom rank is fixed at train time (k={self.k})")
-        c_row = self._kernel_row(x)
-        p = self._project(c_row)
-        return self._loading(p), self._residual(c_row, p)
-
     @property
     def w(self) -> np.ndarray:
         """Kernel matrix of the samples, recomputed on demand."""
@@ -248,68 +246,51 @@ class NystromModel:
             peak_entries=counter.peak,
         )
 
-    def test(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel row against the samples plus rank-k loading.
+    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
+        if k != self.k:
+            raise ConfigurationError(f"nystrom rank is fixed at train time (k={self.k})")
+        return super().answer(x, k)
 
-        The loading is the Nystrom embedding sqrt(inv) * (V_k^T c_row), with
-        inv from `_truncated_inverse`, so pairwise loading inner products
-        reproduce the reconstructed gram entries. Costs O(cd + ck).
-        """
-        c_row = self._kernel_row(x)
-        return c_row, self._loading(self._project(c_row))
+    def test(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel row against the samples and rank-k loading, no residual; O(cd + ck)."""
+        c_row = self.lift(x)
+        return c_row, self._loading(self.basis[:, : self.k].T @ c_row)
 
     def residual(self, c_row: np.ndarray) -> float:
         """Norm of the kernel row outside the rank-k eigenspace of W."""
-        return self._residual(c_row, self._project(c_row))
+        return self._residual(c_row, self.basis[:, : self.k].T @ c_row)
 
-    def _project(self, c_row: np.ndarray) -> np.ndarray:
-        """p = V_k^T c_row, shared by the loading and the residual."""
-        return self.eigvecs[:, : self.k].T @ c_row
+    @property
+    def basis(self) -> np.ndarray:
+        return self.eigvecs
 
-    def _loading(self, p: np.ndarray) -> np.ndarray:
-        return np.sqrt(_truncated_inverse(self.eigvals, self.k)) * p
+    @cached_property
+    def loading_scale(self) -> np.ndarray:
+        """sqrt(inv): loadings sqrt(inv) * (V_k^T c_row) have inner products C pinv(W_k) C^T."""
+        return np.sqrt(_truncated_inverse(self.eigvals))
 
-    def _residual(self, c_row: np.ndarray, p: np.ndarray) -> float:
-        return float(np.linalg.norm(c_row - self.eigvecs[:, : self.k] @ p))
-
-    def _kernel_row(self, x) -> np.ndarray:
-        """The kernel values of one checked point against the samples."""
+    def lift(self, x) -> np.ndarray:
+        """The kernel row of one checked point against the samples."""
         xv = as_vector(x, "point")
-        if xv.size != self.samples.shape[1]:
+        if xv.size != self.d:
             raise ContractViolationError(
-                f"point has dimension {xv.size}, samples have {self.samples.shape[1]}"
+                f"point has dimension {xv.size}, samples have {self.d}"
             )
-        return cross_gram(self.kernel, xv[None, :], self.samples)[0]
+        return self.lift_batch(xv[None, :])[0]
 
-    def gram_factor(self, a, k: int | None = None) -> np.ndarray:
-        """The (n, k) factor C V_k diag(sqrt(inv)) of C pinv(W_k) C^T; k
-        defaults to the model's rank.
-
-        inv holds 1/lambda_i for the k leading eigenvalues of W, zero at or
-        below the cutoff (`_truncated_inverse`); those columns of the factor
-        are zero.
-        """
-        k = self.k if k is None else k
-        check_rank(k, self.c)
-        arr = as_matrix(a, "data matrix")
-        c_mat = cross_gram(self.kernel, arr, self.samples)
-        inv = _truncated_inverse(self.eigvals, k)
-        return c_mat @ (self.eigvecs[:, :k] * np.sqrt(inv))
-
-    def reconstruct(self, a) -> np.ndarray:
-        """Evaluation-only reconstruction C @ pinv(W_k) @ C.T."""
-        return factor_gram(self.gram_factor(a))
+    def lift_batch(self, a) -> np.ndarray:
+        """The kernel rows C of the rows of `a` against the samples."""
+        return cross_gram(self.kernel, a, self.samples)
 
 
-def _truncated_inverse(eigvals: np.ndarray, k: int) -> np.ndarray:
-    """1/lambda_i for the k leading eigenvalues of a c x c kernel matrix.
+def _truncated_inverse(eigvals: np.ndarray) -> np.ndarray:
+    """1/lambda_i for the eigenvalues of a c x c kernel matrix.
 
     Eigenvalues at or below the relative cutoff c * machine epsilon *
     lambda_1 invert to zero, the rank-revealing cutoff of a pseudoinverse.
     """
     cutoff = eigvals.size * MACHINE_EPS * max(eigvals[0], 0.0)
-    lam = eigvals[:k]
-    return np.where(lam > cutoff, 1.0 / np.where(lam > cutoff, lam, 1.0), 0.0)
+    return np.where(eigvals > cutoff, 1.0 / np.where(eigvals > cutoff, eigvals, 1.0), 0.0)
 
 
 def reservoir_sample(

@@ -18,7 +18,6 @@ overrides the guard.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import time
@@ -227,13 +226,6 @@ def write_reports_csv(reports: Sequence[ErrorReport], path) -> None:
         lines.append(",".join(_fmt(getattr(rep, col)) for col in REPORT_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_reports_jsonl(reports: Sequence[ErrorReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rep in reports:
-            record = {col: getattr(rep, col) for col in REPORT_COLUMNS}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def read_reports_csv(path) -> list[dict]:

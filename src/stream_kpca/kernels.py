@@ -8,6 +8,7 @@ normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class KernelSpec:
             raise ConfigurationError(
                 f"unknown kernel family {self.family!r}; supported: {KERNEL_FAMILIES}"
             )
-        if not (self.sigma > 0):
-            raise ConfigurationError(f"kernel bandwidth must be > 0, got {self.sigma}")
+        if not (0 < self.sigma < math.inf):  # also refuses nan
+            raise ConfigurationError(f"kernel bandwidth must be finite and > 0, got {self.sigma}")
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:

@@ -24,6 +24,7 @@ from .kernels import KernelSpec
 from .numerics import as_matrix, as_vector, check_rank, factor_gram
 
 TWO_PI = 2.0 * math.pi
+LIFT_CHUNK = 256  # rows `ProjectionModel.gram_factor` lifts at a time
 
 
 @dataclass(frozen=True)
@@ -48,37 +49,23 @@ class FeatureMap:
             raise ContractViolationError(
                 f"point has dimension {xv.size}, feature map expects {self.d}"
             )
-        return self.scale * np.cos(self.r @ xv + self.gamma)
+        return self._lift(xv[None, :])[0]
 
     def apply_batch(self, a) -> np.ndarray:
-        """Lift each row of an (n, d) matrix; returns (n, m).
-
-        Validates the block once and works in place on its own product, so
-        the (n, m) result is the only array it allocates.
-        """
+        """Lift each row of an (n, d) matrix; returns (n, m)."""
         arr = as_matrix(a, "data matrix")
         if arr.shape[1] != self.d:
             raise ContractViolationError(
                 f"data has {arr.shape[1]} columns, feature map expects {self.d}"
             )
+        return self._lift(arr)
+
+    def _lift(self, arr: np.ndarray) -> np.ndarray:
+        """Lift checked rows in place on their product, the only array allocated."""
         out = arr @ self.r.T
         out += self.gamma
         np.cos(out, out=out)
         out *= self.scale
-        return out
-
-    def project_batch(self, a, basis: np.ndarray, chunk: int = 256) -> np.ndarray:
-        """Lift each row of an (n, d) matrix and project it onto the columns of
-        an (m, r) basis; returns Z @ basis, shape (n, r).
-
-        Lifts `chunk` rows at a time, so the n x m lift never exists whole.
-        """
-        arr = as_matrix(a, "data matrix")
-        n = arr.shape[0]
-        out = np.empty((n, basis.shape[1]))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            out[start:stop] = self.apply_batch(arr[start:stop]) @ basis
         return out
 
     def checksum(self) -> str:
@@ -86,11 +73,64 @@ class FeatureMap:
         return hashlib.sha256(self.r.tobytes() + self.gamma.tobytes()).hexdigest()
 
 
-class FeatureMapModel:
-    """The models built on a feature map `fm` (SKPCA and RNCA): a point's lift
-    projected onto the leading columns of an (m, r) orthonormal `basis` (the
-    sketch basis W for SKPCA, the covariance eigenvectors V for RNCA). The
-    model protocol is described in `stream_kpca.methods`."""
+class ProjectionModel:
+    """The projection all three models share (the model protocol is in
+    `stream_kpca.methods`): a point's lift projected onto the first k
+    columns of an orthonormal `basis`, scaled by `loading_scale` unless that
+    is None. A subclass supplies `lift(x)`, `lift_batch(a)`, `basis`,
+    `ranks` and `loading_scale`."""
+
+    loading_scale: np.ndarray | None = None
+
+    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
+        _, loading, residual = self.project_test(x, k)
+        return loading, residual
+
+    def project_test(self, x, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Lift a point and project it onto the first k basis directions.
+
+        Returns (lifted, loading, residual): the lift, its k loading
+        coordinates, and the norm of the part of the lift outside the
+        k-dimensional subspace. Costs one lift plus O(mk) for an m-entry lift.
+        """
+        check_rank(k, self.basis.shape[1])
+        lifted = self.lift(x)
+        p = self.basis[:, :k].T @ lifted
+        return lifted, self._loading(p), self._residual(lifted, p)
+
+    def _loading(self, p: np.ndarray) -> np.ndarray:  # p = B_k^T lift
+        scale = self.loading_scale
+        return p if scale is None else scale[: p.size] * p
+
+    def _residual(self, lifted: np.ndarray, p: np.ndarray) -> float:
+        return float(np.linalg.norm(lifted - self.basis[:, : p.size] @ p))
+
+    def gram_factor(self, a, k: int | None = None) -> np.ndarray:
+        """The (n, k) factor F of the rank-k reconstructed gram F F^T, one
+        loading per row of `a`; k defaults to `ranks[-1]`. Lifts `LIFT_CHUNK`
+        rows at a time, so the whole lift of `a` never exists at once."""
+        k = self.ranks[-1] if k is None else k
+        check_rank(k, self.basis.shape[1])
+        basis = self.basis[:, :k]
+        if self.loading_scale is not None:
+            basis = basis * self.loading_scale[:k]
+        arr = as_matrix(a, "data matrix")
+        out = np.empty((arr.shape[0], k))
+        for start in range(0, arr.shape[0], LIFT_CHUNK):
+            stop = start + LIFT_CHUNK
+            out[start:stop] = self.lift_batch(arr[start:stop]) @ basis
+        return out
+
+    def reconstruct(self, a, k: int | None = None) -> np.ndarray:
+        """Evaluation-only gram reconstruction F F^T from `gram_factor`."""
+        return factor_gram(self.gram_factor(a, k))
+
+
+class FeatureMapModel(ProjectionModel):
+    """The models built on a feature map `fm` (SKPCA and RNCA): the lift is
+    z(x), the basis is an (m, r) orthonormal one (the sketch basis W for
+    SKPCA, the covariance eigenvectors V for RNCA), and the loading is
+    unscaled, so the gram factor is Z B_k."""
 
     seed_stream = "feature_map"  # the named sub-stream of the CLI seed that seeds `fm`
 
@@ -110,38 +150,11 @@ class FeatureMapModel:
     def ranks(self) -> range:
         return range(1, self.basis.shape[1] + 1)
 
-    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
-        _, loading, residual = self.project_test(x, k)
-        return loading, residual
+    def lift(self, x) -> np.ndarray:
+        return self.fm.apply(x)
 
-    def project_test(self, x, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Lift a point and project it onto the first k basis directions.
-
-        Returns (lifted, loading, residual): the m-dimensional lift, its k
-        loading coordinates, and the norm of the part of the lift outside
-        the k-dimensional subspace. Costs O(dm + mk).
-        """
-        check_rank(k, self.basis.shape[1])
-        lifted = self.fm.apply(x)
-        bk = self.basis[:, :k]
-        loading = bk.T @ lifted
-        residual = float(np.linalg.norm(lifted - bk @ loading))
-        return lifted, loading, residual
-
-    def gram_factor(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
-        """The (n, k) factor Z B_k of the rank-k reconstructed gram, B the
-        basis; k defaults to the basis width (ZW for SKPCA, Z V with
-        (ZV)(ZV)^T = Z Z^T for RNCA).
-
-        Lifts `chunk` rows at a time, so the n x m lift never exists whole.
-        """
-        if k is not None:
-            check_rank(k, self.basis.shape[1])
-        return self.fm.project_batch(a, self.basis[:, :k], chunk)
-
-    def reconstruct(self, a, k: int | None = None, chunk: int = 256) -> np.ndarray:
-        """Evaluation-only gram reconstruction Z B_k B_k^T Z^T."""
-        return factor_gram(self.gram_factor(a, k, chunk))
+    def lift_batch(self, a) -> np.ndarray:
+        return self.fm.apply_batch(a)
 
 
 def stored_feature_map(spec: KernelSpec, record: dict) -> FeatureMap:

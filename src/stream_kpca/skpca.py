@@ -158,9 +158,9 @@ class SkpcaModel(FeatureMapModel):
     # an entry of this class too, where perfbench's tracer wraps it by name
     project_test = FeatureMapModel.project_test
 
-    def reconstruct_gram(self, a, chunk: int = 256) -> np.ndarray:
+    def reconstruct_gram(self, a) -> np.ndarray:
         """Evaluation-only gram reconstruction G~ = (ZW)(ZW)^T."""
-        return self.reconstruct(a, chunk=chunk)
+        return self.reconstruct(a)
 
 
 def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:

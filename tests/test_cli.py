@@ -85,6 +85,14 @@ class TestTrain:
         assert not model.exists()
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_finite_sigma_rejected(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        rc = run("train", "--input", data_csv, "--output", model, "--m", 8, "--ell", 4,
+                 "--sigma", "inf")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ConfigurationError:")
+        assert not model.exists()
+
     def test_parameter_conflict_is_usage_error(self, data_csv, tmp_path):
         rc = run("train", "--input", data_csv, "--output", tmp_path / "m.json",
                  "--method", "skpca", "--m", 99, "--eps", "0.45", "--delta", "0.2")
@@ -196,6 +204,7 @@ MALFORMED = {
         **record, "w": encode_array(np.full(record["w"]["shape"], np.nan))
     },
     "version-2": _version_2,
+    "sigma-infinity": lambda record: {**record, "sigma": float("inf")},
 }
 
 
@@ -245,6 +254,13 @@ class TestBenchmark:
                  "--method", "nystrom", "--m", "16", "--k", k)
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ConfigurationError: k must be in")
+        assert not report.exists()
+
+    def test_non_finite_sigma_rejected(self, data_csv, tmp_path, capsys):
+        report = tmp_path / "r.csv"
+        rc = run("benchmark", "--input", data_csv, "--output", report, "--sigma", "1e400")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ConfigurationError:")
         assert not report.exists()
 
     def test_unknown_method_rejected(self, data_csv, tmp_path):

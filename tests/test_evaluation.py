@@ -18,7 +18,6 @@ from stream_kpca import (
     sym_eig,
     train,
     write_reports_csv,
-    write_reports_jsonl,
 )
 from stream_kpca.evaluation import ORACLE_MAX_N_ENV, read_reports_csv
 from stream_kpca.synthetic import signal_diagonal
@@ -347,15 +346,3 @@ class TestReportWriters:
         assert float(rows[0]["spectral_err"]) == reports[0].spectral_err
         assert rows[1]["c"] == "8"
         assert rows[0]["c"] == ""
-
-    def test_jsonl_mirror(self, spec, tmp_path):
-        import json
-
-        reports = self.make_reports(spec)
-        path = tmp_path / "report.jsonl"
-        write_reports_jsonl(reports, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 2
-        record = json.loads(lines[0])
-        assert record["method"] == "rnca"
-        assert record["spectral_err"] == reports[0].spectral_err

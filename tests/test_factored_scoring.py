@@ -189,13 +189,16 @@ class TestGramFactor:
             with pytest.raises(ContractViolationError, match="k must be in"):
                 model.gram_factor(data, k=bad)
 
-    def test_nystrom_factor_rows_are_test_loadings(self):
-        # pairwise loading inner products reproduce the reconstructed gram
-        data = gaussian_mixture(20, 3, seed=10)
-        model = NystromModel.from_samples(SPEC, data[:6], k=4)
+    @pytest.mark.parametrize("method", ["skpca", "rnca", "nystrom"])
+    def test_factor_rows_are_answer_loadings(self, method):
+        # pairwise loading inner products reproduce the reconstructed gram;
+        # 600 rows cross the 256-row lift boundary
+        data = gaussian_mixture(600, 3, seed=10)
+        model = _model(method, data, 1)
+        k = model.ranks[-1]
         f = model.gram_factor(data)
-        for i in (0, 7, 19):
-            _, loading = model.test(data[i])
+        for i in (0, 255, 256, 599):
+            loading, _ = model.answer(data[i], k)
             assert np.allclose(f[i], loading, rtol=0, atol=1e-12)
 
 

@@ -22,8 +22,9 @@ def spec():
 
 class TestKernelSpec:
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ConfigurationError):
-            KernelSpec(sigma=0.0)
+        for sigma in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="finite and > 0"):
+                KernelSpec(sigma=sigma)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ConfigurationError):

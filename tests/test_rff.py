@@ -8,8 +8,10 @@ from stream_kpca import (
     ContractViolationError,
     KernelSpec,
     SkpcaConfig,
+    cross_gram,
     eval_kernel,
     gram,
+    nystrom_train,
     rnca_train,
     sample_feature_map,
     spectral_norm,
@@ -138,40 +140,58 @@ class TestForEachConcentration:
         assert failures <= 0.2 * 40
 
 
-def _feature_map_models():
+def _projection_models():
+    # 600 rows, so every gram factor crosses the 256-row lift boundary
     spec = KernelSpec(sigma=2.0)
-    data = gaussian_mixture(40, 3, seed=31)
+    data = gaussian_mixture(600, 3, seed=31)
     skpca = train(SkpcaConfig(kernel=spec, seed=4, m=24, ell=6), data)
     rnca = rnca_train(sample_feature_map(spec, 24, 3, 4), data)
-    return data, {"skpca": (skpca, skpca.w), "rnca": (rnca, rnca.eigvecs)}
+    nystrom = nystrom_train(spec, c=10, k=10, seed=4, stream=data)
+    return data, {
+        "skpca": (skpca, skpca.w, skpca.fm.apply),
+        "rnca": (rnca, rnca.eigvecs, rnca.fm.apply),
+        "nystrom": (nystrom, nystrom.eigvecs, lambda x: cross_gram(spec, [x], nystrom.samples)[0]),
+    }
 
 
 class TestFeatureMapModel:
-    @pytest.mark.parametrize("method", ["skpca", "rnca"])
+    """The projection every model shares, `rff.ProjectionModel`, on each basis."""
+
+    @pytest.mark.parametrize("method", ["skpca", "rnca", "nystrom"])
     def test_projection_on_each_basis(self, method):
-        data, models = _feature_map_models()
-        model, basis = models[method]
+        data, models = _projection_models()
+        model, basis, lift = models[method]
+        width = basis.shape[1]
+        scale = np.ones(width) if model.loading_scale is None else model.loading_scale
         assert model.basis is basis
-        assert model.ranks == range(1, basis.shape[1] + 1)
-        for k in (1, basis.shape[1]):
+        assert model.ranks[-1] == width
+        for k in (1, width):
             lifted, loading, residual = model.project_test(data[0], k)
-            assert np.array_equal(lifted, model.fm.apply(data[0]))
-            assert np.array_equal(loading, basis[:, :k].T @ lifted)
-            assert residual == float(np.linalg.norm(lifted - basis[:, :k] @ loading))
-            assert np.array_equal(model.answer(data[0], k)[0], loading)
-            factor = model.gram_factor(data, k, chunk=7)
-            assert np.array_equal(factor, model.fm.project_batch(data, basis[:, :k], 7))
-        assert np.array_equal(model.gram_factor(data), model.gram_factor(data, basis.shape[1]))
+            assert np.array_equal(lifted, lift(data[0]))
+            coords = basis[:, :k].T @ lifted
+            assert np.array_equal(loading, scale[:k] * coords)
+            assert residual == float(np.linalg.norm(lifted - basis[:, :k] @ coords))
+            if k in model.ranks:
+                assert np.array_equal(model.answer(data[0], k)[0], loading)
+            factor = model.gram_factor(data, k)
+            assert factor.shape == (600, k)
+            want = (model.lift_batch(data) @ basis[:, :k]) * scale[:k]
+            assert np.allclose(factor, want, rtol=0, atol=1e-13)
+        assert np.array_equal(model.gram_factor(data), model.gram_factor(data, width))
         assert np.array_equal(model.reconstruct(data, 2), factor_gram(model.gram_factor(data, 2)))
 
     def test_named_entry_points(self):
-        data, models = _feature_map_models()
-        skpca, rnca = models["skpca"][0], models["rnca"][0]
-        gram_5 = skpca.reconstruct(data, chunk=5)
-        assert np.array_equal(skpca.reconstruct_gram(data, chunk=5), gram_5)
+        data, models = _projection_models()
+        skpca, rnca, nystrom = (models[method][0] for method in ("skpca", "rnca", "nystrom"))
+        assert np.array_equal(skpca.reconstruct_gram(data), skpca.reconstruct(data))
         _, loading, _ = rnca.test(data[1], 3)
         assert np.array_equal(loading, rnca.project_test(data[1], 3)[1])
+        c_row, loading = nystrom.test(data[1])
+        want_loading, want_residual = nystrom.answer(data[1], 10)
+        assert np.array_equal(loading, want_loading)
+        assert nystrom.residual(c_row) == want_residual
         # each is a separate entry of its own class, so wrapping one on its
         # class (as perfbench's tracer does) leaves the other model's calls alone
         skpca_entry = type(skpca).__dict__["project_test"]
         assert type(rnca).__dict__["test"] is not skpca_entry
+        assert {"test", "residual"} <= set(type(nystrom).__dict__)

@@ -191,11 +191,11 @@ class TestReconstructGram:
         assert np.all(w[:-4] <= 1e-9 * max(w[-1], 1.0))  # rank <= ell
 
     def test_chunking_matches_direct(self):
-        data = gaussian_mixture(30, 3, seed=13)
+        data = gaussian_mixture(600, 3, seed=13)  # crosses the 256-row lift boundary
         model = train(make_config(m=32, ell=4), data)
         z = model.fm.apply_batch(data)
         direct = (z @ model.w) @ (z @ model.w).T
-        assert np.allclose(model.reconstruct_gram(data, chunk=7), direct, atol=1e-12)
+        assert np.allclose(model.reconstruct_gram(data), direct, atol=1e-12)
 
 
 class TestSketchVsFeatureBound:
