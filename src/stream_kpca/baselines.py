@@ -254,11 +254,11 @@ class NystromModel(ProjectionModel):
     def test(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Kernel row against the samples and rank-k loading, no residual; O(cd + ck)."""
         c_row = self.lift(x)
-        return c_row, self._loading(self.basis[:, : self.k].T @ c_row)
+        return c_row, self._loading(self._coords(c_row, self.k))
 
     def residual(self, c_row: np.ndarray) -> float:
         """Norm of the kernel row outside the rank-k eigenspace of W."""
-        return self._residual(c_row, self.basis[:, : self.k].T @ c_row)
+        return self._residual(c_row, self._coords(c_row, self.k))
 
     @property
     def basis(self) -> np.ndarray:

@@ -95,10 +95,14 @@ class ProjectionModel:
         """
         check_rank(k, self.basis.shape[1])
         lifted = self.lift(x)
-        p = self.basis[:, :k].T @ lifted
+        p = self._coords(lifted, k)
         return lifted, self._loading(p), self._residual(lifted, p)
 
-    def _loading(self, p: np.ndarray) -> np.ndarray:  # p = B_k^T lift
+    def _coords(self, lifted: np.ndarray, k: int) -> np.ndarray:
+        """p = B_k^T lift, the lift's coordinates on the first k basis directions."""
+        return self.basis[:, :k].T @ lifted
+
+    def _loading(self, p: np.ndarray) -> np.ndarray:
         scale = self.loading_scale
         return p if scale is None else scale[: p.size] * p
 
