@@ -124,8 +124,11 @@ def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
             raise ContractViolationError(
                 f"stream point {n_seen} has dimension {block.shape[1]}, expected {fm.d}"
             )
+        counter.alloc(m)  # the lift's phase-reduction transient
+        lifted = fm.apply(block[0])
+        counter.free(m)
         # rebound, so the sum stays right even if the wrapper ever copies
-        acc = dsyr(1.0, fm.apply(block[0]), a=acc, lower=0, overwrite_a=1)
+        acc = dsyr(1.0, lifted, a=acc, lower=0, overwrite_a=1)
         n_seen += 1
     cov = acc.T  # C-contiguous again; the sums sit in its lower triangle
     for j in range(1, m):  # mirror it, one column at a time

@@ -215,6 +215,17 @@ def cmd_benchmark(args) -> int:
     ells = _parse_int_list(args.ell, "--ell")
     even_ells = [ell + ell % 2 for ell in ells]
     csizes = _parse_int_list(args.c, "--c") if args.c is not None else sizes
+    kernel = KernelSpec(sigma=args.sigma)
+    # k's upper bound, the training row count, is checked once the data is read
+    _require(args.k is None or args.k >= 1, f"k must be in [1, n] for n rows, got {args.k}")
+
+    # a method's cells: every combination of its sizes' values; k takes its default
+    values = {"m": sizes, "ell": even_ells, "c": csizes, "k": [None]}
+    grid = [
+        evaluation.BenchmarkCell(method=method, **dict(zip(MODELS[method].sizes, combo)))
+        for method in methods
+        for combo in itertools.product(*(values[name] for name in MODELS[method].sizes))
+    ]
 
     data = read_matrix_csv(args.input, drop_first_col=args.drop_first_col, header=args.header)
     if args.center:
@@ -227,15 +238,6 @@ def cmd_benchmark(args) -> int:
     test_set = data[perm[:test_size]]
     train_set = data[perm[test_size:]]
 
-    # a method's cells: every combination of its sizes' values; k takes its default
-    values = {"m": sizes, "ell": even_ells, "c": csizes, "k": [None]}
-    grid = [
-        evaluation.BenchmarkCell(method=method, **dict(zip(MODELS[method].sizes, combo)))
-        for method in methods
-        for combo in itertools.product(*(values[name] for name in MODELS[method].sizes))
-    ]
-
-    kernel = KernelSpec(sigma=args.sigma)
     reports = evaluation.run_benchmark(
         grid,
         train_set,

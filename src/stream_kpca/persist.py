@@ -33,7 +33,7 @@ from .methods import MODELS
 from .numerics import check_shape
 
 MODEL_FORMAT = "stream-kpca-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 def encode_array(a: np.ndarray) -> dict:

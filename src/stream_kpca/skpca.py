@@ -3,8 +3,10 @@ and feed it to a Frequent Directions sketch, in one pass and bounded memory.
 
 Training reads the stream through `dataio.row_blocks` in checked blocks of
 ell rows, lifts and inserts each block at once, and keeps only the feature
-functions (d*m entries), the sketch (ell*m entries) and one block (ell*d
-input and ell*m lifted entries). The returned model holds the
+functions (d*m + m entries), the sketch (ell*m entries) and one block (ell*d
+input and ell*m lifted entries). Two transients come and go: the lift's
+phase reduction (ell*m entries) and, larger, the sketch's shrink
+(ell*m + 2*ell^2 + ell entries). The returned model holds the
 ell-dimensional basis W of the sketch's row space, which spans an
 approximate kernel eigenspace: reconstructing G~ = (ZW)(ZW)^T stays within
 eps*n of the exact gram matrix in spectral norm at the derived (m, ell).
@@ -187,7 +189,10 @@ def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:
     counter.alloc(ell * fm.d + ell * m)  # input block + its lift
     sketch = FdSketch(ell, m, counter=counter)
     for block in itertools.chain([first], blocks):
-        sketch.insert(fm.apply_batch(block))
+        counter.alloc(ell * m)  # the lift's phase-reduction transient
+        lifted = fm.apply_batch(block)
+        counter.free(ell * m)
+        sketch.insert(lifted)
 
     counter.alloc(ell * m + ell**2 + ell)  # final basis SVD temporaries
     w, s = sketch.basis()

@@ -2,7 +2,7 @@
 
 `perfbench` loads the models `stream-kpca train` wrote and checks their
 answers against the in-memory models. Here one array of one model file is
-corrupted the way a version 3 file stores it (decode the field, change the
+corrupted the way a model file stores it (decode the field, change the
 array, write it back with `persist.encode_array`), and only that method's
 answers must fail while the other methods still pass.
 """

@@ -204,6 +204,7 @@ MALFORMED = {
         **record, "w": encode_array(np.full(record["w"]["shape"], np.nan))
     },
     "version-2": _version_2,
+    "version-3": lambda record: {**record, "version": 3},
     "sigma-infinity": lambda record: {**record, "sigma": float("inf")},
 }
 
@@ -262,6 +263,13 @@ class TestBenchmark:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ConfigurationError:")
         assert not report.exists()
+
+    @pytest.mark.parametrize("flags", [("--sigma", "0"), ("--k", "0"), ("--m", "1", "--ell", "4")])
+    def test_arguments_checked_before_the_input_is_read(self, flags, tmp_path, capsys):
+        rc = run("benchmark", "--input", tmp_path / "missing.csv", "--output",
+                 tmp_path / "r.csv", *flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ConfigurationError:")
 
     def test_unknown_method_rejected(self, data_csv, tmp_path):
         rc = run("benchmark", "--input", data_csv, "--output", tmp_path / "r.csv",

@@ -358,7 +358,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(MODELS[method].fit(spec, 13, data, **sizes), path)
         record = json.loads(path.read_text())
-        assert record["version"] == 3 and len(record["rff_sha256"]) == 64
+        assert record["version"] == 4 and len(record["rff_sha256"]) == 64
         record["seed"] += 1
         path.write_text(json.dumps(record))
         with pytest.raises(ContractViolationError, match="checksum") as exc:

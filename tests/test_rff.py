@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import exact_phi, gaussian_mixture
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stream_kpca import (
     ContractViolationError,
@@ -92,10 +94,38 @@ class TestApplyBatch:
         assert np.allclose(fm.apply_batch(x[None, :])[0], fm.apply(x), atol=1e-14)
 
     def test_in_place_batch_is_the_closed_form(self):
-        # the in-place steps give bit for bit scale * cos(A R^T + gamma)
+        # the in-place steps give bit for bit scale * f32 cos of the f64 phase
+        # reduced to [-pi, pi]
         fm = sample_feature_map(KernelSpec(sigma=2.0), m=64, d=4, seed=7)
         a = np.random.default_rng(8).standard_normal((33, 4))
-        assert np.array_equal(fm.apply_batch(a), fm.scale * np.cos(a @ fm.r.T + fm.gamma))
+        phase = a @ fm.r.T + fm.gamma
+        reduced = phase - TWO_PI * np.rint(phase / TWO_PI)
+        expected = fm.scale * np.cos(reduced.astype(np.float32)).astype(np.float64)
+        assert np.array_equal(fm.apply_batch(a), expected)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=1, max_value=96),
+        d=st.integers(min_value=1, max_value=8),
+        n=st.integers(min_value=1, max_value=12),
+        sigma=st.floats(min_value=0.05, max_value=20.0),
+        log_norm=st.floats(min_value=-2.0, max_value=5.5),
+    )
+    # always run the largest phases, where an unreduced f32 phase alone would be off by ~0.03
+    @example(seed=9, m=256, d=6, n=12, sigma=0.05, log_norm=5.5)
+    def test_cosine_error_bound(self, seed, m, d, n, sigma, log_norm):
+        # |z~ - z_f64| <= 3e-7 * sqrt(2/m) entrywise, for ||x||/sigma up to ~1e5.5
+        # and so phases up to ~1e6; apply gives apply_batch's row bit for bit
+        fm = sample_feature_map(KernelSpec(sigma=sigma), m=m, d=d, seed=seed)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, d))
+        a *= 10.0**log_norm * sigma / np.linalg.norm(a, axis=1, keepdims=True)
+        z = fm.apply_batch(a)
+        exact = fm.scale * np.cos(a @ fm.r.T + fm.gamma)
+        assert np.max(np.abs(z - exact)) <= 3e-7 * fm.scale
+        for x in a:
+            assert np.array_equal(fm.apply(x), fm.apply_batch(x[None, :])[0])
 
     def test_frobenius_mass_bound(self):
         fm = sample_feature_map(KernelSpec(), m=32, d=5, seed=8)

@@ -139,6 +139,18 @@ class TestTrain:
         model = train(make_config(m=m, ell=ell), gaussian_mixture(200, d, seed=7))
         assert model.peak_entries <= 3 * space_entries(m, ell, d)
 
+    @pytest.mark.parametrize(
+        "m, ell, d, expected", [(1024, 16, 20, 71_504), (64, 8, 5, 2_096)]
+    )
+    def test_peak_entries_itemized(self, m, ell, d, expected):
+        # 2*ell rows, so the sketch shrinks; the lift's transient (ell*m) is
+        # smaller than the shrink's temporaries and never sets the peak
+        model = train(make_config(m=m, ell=ell), gaussian_mixture(2 * ell, d, seed=8))
+        # map, one block and its lift, sketch, shrink temporaries
+        itemized = (m * d + m) + (ell * d + ell * m) + ell * m + (ell * m + 2 * ell**2 + ell)
+        assert model.peak_entries == itemized == expected
+        assert model.peak_entries <= 3 * space_entries(m, ell, d)
+
 
 class TestProjectTest:
     def test_training_point_of_rank_one_stream(self):
