@@ -46,7 +46,7 @@ from .rff import (
     sample_feature_map,
     stored_feature_map,
 )
-from .skpca import check_eps_delta, derive_feature_count, eps_delta_given, settle_size
+from .skpca import derive_feature_count, eps_delta_given, log_term, settle_size
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class RncaModel(FeatureMapModel):
 
     @staticmethod
     def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
-        """Final m, given or derived from (eps, delta) at stream length n."""
+        """Final m >= 1, given or derived from (eps, delta) at stream length n."""
         derived = derive_feature_count(eps, delta, n) if eps_delta_given(eps, delta) else None
         return {"m": settle_size("m", sizes["m"], derived)}
 
@@ -171,10 +171,13 @@ class NystromModel(ProjectionModel):
 
     @staticmethod
     def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
-        """Final (c, k); c given or derived from (eps, delta) at length n, k defaults to c."""
+        """Final c >= 1, given or derived from (eps, delta) at length n; k in [1, c], or c."""
         derived = derive_sample_count(eps, delta, n) if eps_delta_given(eps, delta) else None
         c = settle_size("c", sizes["c"], derived)
-        return {"c": c, "k": c if sizes["k"] is None else sizes["k"]}
+        k = settle_size("k", c if sizes["k"] is None else sizes["k"], None)
+        if k > c:
+            raise ConfigurationError(f"k must be in [1, c], got k={k}, c={c}")
+        return {"c": c, "k": k}
 
     @staticmethod
     def fit(kernel: KernelSpec, seed: int, rows: Iterable, c: int, k: int) -> "NystromModel":
@@ -346,8 +349,7 @@ def nystrom_train(
 
 def derive_sample_count(eps: float, delta: float, n: int) -> int:
     """Nystrom sample count c = ceil(ln(2n / delta) / eps^2)."""
-    check_eps_delta(eps, delta)
-    return math.ceil(math.log(2.0 * n / delta) / eps**2)
+    return math.ceil(log_term(eps, delta, n) / eps**2)
 
 
 def rnca_space_entries(m: int, d: int) -> int:

@@ -21,6 +21,7 @@ from .kernels import KernelSpec
 from .methods import METHODS, MODELS
 from .persist import load_model, save_model
 from .seeds import substream_seed
+from .skpca import eps_delta_given
 from .synthetic import SyntheticSpec, gen_random_noisy
 
 
@@ -135,23 +136,24 @@ def _require(condition: bool, message: str) -> None:
 
 def cmd_train(args) -> int:
     kernel = KernelSpec(sigma=args.sigma)
-    _require(
-        (args.eps is None) == (args.delta is None), "--eps and --delta must be given together"
-    )
     model_cls = MODELS[args.method]
     for name in ("m", "ell", "c", "k"):
         if name not in model_cls.sizes:
             _require(getattr(args, name) is None, f"--{name} does not apply to {args.method}")
-
-    center = n_known = None
-    if args.center:
-        center, n_known = _mean_pass(args)
-    elif args.eps is not None:
-        # the (eps, delta) bounds depend on n: one extra counting pass
-        n_known = count_csv_rows(args.input, header=args.header)
-        _require(n_known > 0, f"{args.input}: no data rows")
     given = {name: getattr(args, name) for name in model_cls.sizes}
-    sizes = model_cls.resolve(given, args.eps, args.delta, n_known)
+    # every size is checked before the input is read, but sizes derived from
+    # (eps, delta) depend on n, so they are settled after the mean or a counting pass
+    derive = eps_delta_given(args.eps, args.delta)
+    sizes = None if derive else model_cls.resolve(given)
+
+    center = n = None
+    if args.center:
+        center, n = _mean_pass(args)
+    elif derive:
+        n = count_csv_rows(args.input, header=args.header)
+        _require(n > 0, f"{args.input}: no data rows")
+    if derive:
+        sizes = model_cls.resolve(given, args.eps, args.delta, n)
 
     rows = _input_rows(args)
     if center is not None:

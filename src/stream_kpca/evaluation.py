@@ -160,7 +160,8 @@ class BenchmarkCell:
 
     skpca needs (m, ell); rnca needs m; nystrom needs c. k, optional, is the
     rank of the scored reconstruction (and nystrom's model rank); it
-    defaults to ell, m and c.
+    defaults to ell, m and c. The method's `resolve` checks the sizes when
+    the cell is built, before any data is read.
     """
 
     method: str

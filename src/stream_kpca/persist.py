@@ -35,6 +35,10 @@ from .numerics import check_shape
 MODEL_FORMAT = "stream-kpca-model"
 MODEL_VERSION = 4
 
+# integer fields of the envelope and of the class records; a Nystrom model
+# built from given samples has no seed, so "seed" may also be null
+INT_FIELDS = ("d", "n_seen", "peak_entries", "seed", "m", "ell", "c", "k", "replacements")
+
 
 def encode_array(a: np.ndarray) -> dict:
     """A float array as its shape plus base64 of its little-endian float64 C-order bytes."""
@@ -91,7 +95,8 @@ def save_model(model, path, center=None) -> None:
 def load_model(path):
     """Load a persisted model; returns (model, center-or-None).
 
-    Any malformed record raises ContractViolationError naming the path.
+    Any malformed record, an integer field that is not a JSON integer among
+    them, raises ContractViolationError naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -105,6 +110,10 @@ def load_model(path):
             )
         if record["method"] not in MODELS:
             raise ContractViolationError(f"unknown method {record['method']!r}")
+        for key in INT_FIELDS:
+            value = record.get(key)
+            if key in record and type(value) is not int and not (key == "seed" and value is None):
+                raise ContractViolationError(f"field {key!r} must be an integer, got {value!r}")
         # only encoded arrays are JSON objects in a record
         record = {
             key: decode_array(value, key) if isinstance(value, dict) else value

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,78 +34,64 @@ from .rff import FeatureMap, FeatureMapModel, sample_feature_map, stored_feature
 
 def derive_feature_count(eps: float, delta: float, n: int) -> int:
     """Feature count m = ceil(((9 + 8*eps) / eps^2) * ln(2n / delta))."""
-    check_eps_delta(eps, delta)
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
-    return math.ceil((9.0 + 8.0 * eps) / eps**2 * math.log(2.0 * n / delta))
+    return math.ceil((9.0 + 8.0 * eps) / eps**2 * log_term(eps, delta, n))
 
 
 def derive_sketch_size(eps: float) -> int:
     """Sketch size ell = ceil(4 / eps), rounded up to even."""
-    if not 0 < eps < 1:
-        raise ConfigurationError(f"eps must be in (0, 1), got {eps}")
+    check_unit(eps=eps)
     ell = math.ceil(4.0 / eps)
     return ell if ell % 2 == 0 else ell + 1
 
 
+def log_term(eps: float, delta: float, n: int) -> float:
+    """ln(2n / delta), the factor the (eps, delta) sample counts share."""
+    check_unit(eps=eps, delta=delta)
+    if n is None or n < 1:
+        raise ConfigurationError(f"deriving sizes from (eps, delta) needs n >= 1 rows, got {n}")
+    return math.log(2.0 * n / delta)
+
+
 def eps_delta_given(eps: float | None, delta: float | None) -> bool:
-    """Whether (eps, delta) is given; raises unless both or neither are."""
+    """Whether (eps, delta) is given; raises unless both or neither are, each in (0, 1)."""
     if (eps is None) != (delta is None):
         raise ConfigurationError("eps and delta must be given together")
+    if eps is not None:
+        check_unit(eps=eps, delta=delta)
     return eps is not None
 
 
-def check_eps_delta(eps: float, delta: float) -> None:
-    if not 0 < eps < 1:
-        raise ConfigurationError(f"eps must be in (0, 1), got {eps}")
-    if not 0 < delta < 1:
-        raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
+def check_unit(**values: float) -> None:
+    """Raise unless every named value lies in (0, 1)."""
+    for name, value in values.items():
+        if not 0 < value < 1:
+            raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
 
 
-def settle_size(name: str, given: int | None, derived: int | None) -> int:
-    """The derived size when there is one (a given one must equal it), else the given one."""
+def settle_size(name: str, given: int | None, derived: int | None, low: int = 1) -> int:
+    """The derived size when there is one (a given one must equal it), else the
+    given one; raises unless it is an integer of at least `low`."""
     if given is None and derived is None:
         raise ConfigurationError(f"{name} must be given, or derived from (eps, delta)")
     if given is not None and derived is not None and given != derived:
         raise ConfigurationError(f"given {name}={given} conflicts with derived {name}={derived}")
-    return given if derived is None else derived
+    size = given if derived is None else derived
+    if not isinstance(size, numbers.Integral) or size < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low}, got {size!r}")
+    return size
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkpcaConfig:
-    """Training parameters; (m, ell) may be given directly or derived from (eps, delta)."""
+    """Training parameters, checked by `SkpcaModel.resolve` when built."""
 
     kernel: KernelSpec
     seed: int
-    m: int | None = None
-    ell: int | None = None
-    eps: float | None = None
-    delta: float | None = None
+    m: int
+    ell: int
 
     def __post_init__(self) -> None:
-        if eps_delta_given(self.eps, self.delta):
-            check_eps_delta(self.eps, self.delta)
-        if self.eps is None and (self.m is None or self.ell is None):
-            raise ConfigurationError("either (m, ell) or (eps, delta) must be set")
-        if self.m is not None and self.ell is not None:
-            if not 2 <= self.ell <= self.m:
-                raise ConfigurationError(
-                    f"need m >= ell >= 2, got m={self.m}, ell={self.ell}"
-                )
-
-    def resolve(self, n: int) -> tuple[int, int]:
-        """Final (m, ell) for a stream of length n.
-
-        Explicit values win; with (eps, delta) set, a missing m or ell is
-        derived, and explicit values must agree with the derivation.
-        """
-        m, ell = self.m, self.ell
-        if self.eps is not None:
-            m = settle_size("m", m, derive_feature_count(self.eps, self.delta, n))
-            ell = settle_size("ell", ell, derive_sketch_size(self.eps))
-        if not 2 <= ell <= m:
-            raise ConfigurationError(f"need m >= ell >= 2, got m={m}, ell={ell}")
-        return m, ell
+        SkpcaModel.resolve({"m": self.m, "ell": self.ell})
 
 
 @dataclass(frozen=True)
@@ -125,10 +112,16 @@ class SkpcaModel(FeatureMapModel):
 
     @staticmethod
     def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
-        """Final (m, ell), given or derived from (eps, delta) at stream length n."""
-        # the sizes depend on neither the kernel nor the seed
-        config = SkpcaConfig(KernelSpec(), 0, sizes["m"], sizes["ell"], eps, delta)
-        return dict(zip(("m", "ell"), config.resolve(n)))
+        """Final (m, ell), given or derived from (eps, delta) at stream length n.
+
+        ell must be even (the FD shrink halves at ell/2) and in [2, m].
+        """
+        derive = eps_delta_given(eps, delta)
+        m = settle_size("m", sizes["m"], derive_feature_count(eps, delta, n) if derive else None)
+        ell = settle_size("ell", sizes["ell"], derive_sketch_size(eps) if derive else None, 2)
+        if ell > m or ell % 2:
+            raise ConfigurationError(f"need an even ell in [2, m], got m={m}, ell={ell}")
+        return {"m": m, "ell": ell}
 
     @staticmethod
     def fit(kernel: KernelSpec, seed: int, rows: Iterable, m: int, ell: int) -> "SkpcaModel":
@@ -169,17 +162,9 @@ def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:
     """Run the streaming pipeline over an ordered sequence of d-vectors.
 
     Single pass; working memory stays at O(dm + ell*m) logical entries
-    regardless of stream length. When (m, ell) must be derived from
-    (eps, delta), the stream has to have a known length (len()), since the
-    feature-count bound depends on n.
+    regardless of stream length.
     """
-    n_hint = len(stream) if hasattr(stream, "__len__") else None
-    if config.eps is not None and n_hint is None:
-        raise ConfigurationError(
-            "the (eps, delta) parameterization needs the stream length; "
-            "pass a sized sequence or set (m, ell) explicitly"
-        )
-    m, ell = config.resolve(n_hint or 1)  # an empty stream fails in row_blocks
+    m, ell = config.m, config.ell
     blocks = row_blocks(stream, ell)
     first = next(blocks)
 

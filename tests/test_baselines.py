@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import dense_wk_pinv, gaussian_mixture
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stream_kpca import (
     ConfigurationError,
@@ -305,7 +307,7 @@ class TestRegistry:
     def test_resolve(self, method, given, eps, delta, want):
         assert MODELS[method].resolve(given, eps, delta, 80) == want
 
-    @pytest.mark.parametrize("method", ["rnca", "nystrom"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_resolve_rejects_missing_and_conflicting_sizes(self, method):
         name = MODELS[method].sizes[0]
         missing = dict.fromkeys(MODELS[method].sizes)
@@ -315,6 +317,24 @@ class TestRegistry:
             MODELS[method].resolve({**missing, name: 3}, 0.45, 0.2, 80)
         with pytest.raises(ConfigurationError, match="delta must be in"):
             MODELS[method].resolve(missing, 0.45, 1.5, 80)
+
+    @pytest.mark.parametrize(
+        "method,sizes,match",
+        [
+            ("skpca", {"m": 64, "ell": 7}, "even ell"),
+            ("skpca", {"m": 4, "ell": 8}, "even ell"),
+            ("skpca", {"m": 64, "ell": 0}, "ell must be an integer >= 2"),
+            ("skpca", {"m": 64.0, "ell": 8}, "m must be an integer >= 1"),
+            ("rnca", {"m": 0}, "m must be an integer >= 1"),
+            ("nystrom", {"c": 0, "k": None}, "c must be an integer >= 1"),
+            ("nystrom", {"c": 8, "k": 20}, r"k must be in \[1, c\]"),
+            ("nystrom", {"c": 8, "k": 0}, "k must be an integer >= 1"),
+            ("nystrom", {"c": 8, "k": 4.0}, "k must be an integer >= 1"),
+        ],
+    )
+    def test_resolve_rejects_sizes_out_of_range(self, method, sizes, match):
+        with pytest.raises(ConfigurationError, match=match):
+            MODELS[method].resolve(sizes)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_resolve_needs_eps_and_delta_together(self, method):
@@ -331,3 +351,38 @@ class TestRegistry:
         assert loading.shape == (3,) and residual >= 0.0
         with pytest.raises(ConfigurationError, match="fixed at train time"):
             model.answer(np.zeros(2), 2)
+
+
+# a valid eps is kept >= 0.5 and a valid delta >= 0.05, so a derived m stays
+# near 300 and RNCA's m x m covariance small
+SIZE_VALUES = st.one_of(st.none(), st.integers(-2, 40), st.sampled_from([4.0, 8.5]))
+EPS_VALUES = st.one_of(st.none(), st.sampled_from([-0.25, 0.0]), st.floats(0.5, 1.5))
+DELTA_VALUES = st.one_of(st.none(), st.sampled_from([-0.25, 0.0]), st.floats(0.05, 1.5))
+UNSIZED = dict.fromkeys(("m", "ell", "c", "k"))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    method=st.sampled_from(METHODS),
+    raw=st.fixed_dictionaries({name: SIZE_VALUES for name in UNSIZED}),
+    eps_delta=st.one_of(st.just((None, None)), st.tuples(EPS_VALUES, DELTA_VALUES)),
+)
+# random sizes are mostly refused; these pin one accepted case per method and path
+@example("skpca", {**UNSIZED, "m": 16, "ell": 4}, (None, None))
+@example("skpca", UNSIZED, (0.5, 0.05))
+@example("rnca", {**UNSIZED, "m": 1}, (None, None))
+@example("rnca", UNSIZED, (0.99, 0.9))
+@example("nystrom", {**UNSIZED, "c": 40, "k": 40}, (None, None))
+@example("nystrom", {**UNSIZED, "k": 1}, (0.6, 0.3))
+def test_resolve_is_the_only_size_gate(method, raw, eps_delta):
+    """Sizes `resolve` accepts never fail in `fit`; those it refuses, it refuses
+    with ConfigurationError, before any row is read."""
+    model_cls = MODELS[method]
+    given_sizes = {name: raw[name] for name in model_cls.sizes}
+    try:
+        sizes = model_cls.resolve(given_sizes, *eps_delta, 12)
+    except ConfigurationError:
+        return
+    assert all(sizes[name] == value for name, value in given_sizes.items() if value is not None)
+    model = model_cls.fit(KernelSpec(), 0, iter(gaussian_mixture(12, 3, seed=0)), **sizes)
+    assert model.n_seen == 12

@@ -128,6 +128,26 @@ class TestTrain:
         assert err.startswith("error: ConfigurationError:") and f"{flag} " in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("center", [(), ("--center",)])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--m", "4", "--ell", "8"),
+            ("--m", "64", "--ell", "7"),
+            ("--method", "rnca", "--m", "0"),
+            ("--method", "nystrom", "--c", "8", "--k", "20"),
+            ("--m", "64", "--ell", "8", "--eps", "0.5"),
+            ("--eps", "1.5", "--delta", "0.1"),
+            ("--method", "nystrom", "--eps", "0.5", "--delta", "0"),
+        ],
+    )
+    def test_arguments_checked_before_the_input_is_read(self, flags, center, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        rc = run("train", "--input", tmp_path / "missing.csv", "--output", model, *flags, *center)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ConfigurationError:")
+        assert not model.exists()
+
     def test_center_flag_stores_mean(self, data_csv, tmp_path):
         model = tmp_path / "c.json"
         assert run("train", "--input", data_csv, "--output", model, "--method", "skpca",
@@ -206,6 +226,8 @@ MALFORMED = {
     "version-2": _version_2,
     "version-3": lambda record: {**record, "version": 3},
     "sigma-infinity": lambda record: {**record, "sigma": float("inf")},
+    "ell-not-an-integer": lambda record: {**record, "ell": 4.0},
+    "n_seen-not-an-integer": lambda record: {**record, "n_seen": "many"},
 }
 
 

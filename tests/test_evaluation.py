@@ -323,6 +323,18 @@ class TestCellValidation:
         with pytest.raises(ConfigurationError):
             BenchmarkCell(method="nystrom")
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"method": "skpca", "m": 64, "ell": 7},
+            {"method": "nystrom", "c": 8, "k": 20},
+            {"method": "rnca", "m": 0},
+        ],
+    )
+    def test_bad_sizes_refused_when_built(self, sizes):
+        with pytest.raises(ConfigurationError):
+            BenchmarkCell(**sizes)
+
 
 class TestReportWriters:
     def make_reports(self, spec):

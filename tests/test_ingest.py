@@ -20,6 +20,7 @@ from stream_kpca import (
     KernelSpec,
     RncaModel,
     SkpcaConfig,
+    SkpcaModel,
     nystrom_train,
     reservoir_sample,
     rnca_train,
@@ -131,8 +132,9 @@ def test_empty_stream(trainer, form):
 def test_empty_stream_every_entry_point(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
+    derived = SkpcaModel.resolve(dict.fromkeys(SkpcaModel.sizes), 0.5, 0.2, 1)
     with pytest.raises(ContractViolationError, match=EMPTY):
-        train(SkpcaConfig(kernel=SPEC, seed=0, eps=0.5, delta=0.2), [])
+        SkpcaModel.fit(SPEC, 0, [], **derived)
     with pytest.raises(ContractViolationError, match=EMPTY):
         train(SkpcaConfig(kernel=SPEC, seed=0, m=8, ell=2), iter_csv_rows(path))
     with pytest.raises(ContractViolationError, match=EMPTY):

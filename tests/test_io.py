@@ -12,6 +12,7 @@ import stream_kpca
 from stream_kpca import (
     ContractViolationError,
     KernelSpec,
+    NystromModel,
     SkpcaConfig,
     load_model,
     nystrom_train,
@@ -185,6 +186,10 @@ def spec():
 
 SIZES = {"skpca": {"m": 24, "ell": 4}, "rnca": {"m": 16}, "nystrom": {"c": 8, "k": 5}}
 ARRAY_FIELDS = {"skpca": ("w", "s"), "rnca": ("cov",), "nystrom": ("samples",)}
+INT_FIELDS = {
+    method: ("d", "n_seen", "peak_entries", "seed", *MODELS[method].sizes) for method in METHODS
+}
+INT_FIELDS["nystrom"] += ("replacements",)
 # signed zeros, the smallest subnormals, a mid-range subnormal, the extremes
 SPECIAL = np.array(
     [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, np.finfo(np.float64).max, -np.pi]
@@ -325,6 +330,36 @@ class TestPersistence:
         with pytest.raises(ContractViolationError, match="non-finite") as exc:
             load_model(path)
         assert str(path) in str(exc.value) and repr(field) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "method,field,bad",
+        [
+            (method, field, bad)
+            for method in METHODS
+            for field in INT_FIELDS[method]
+            for bad in (3.0, "many", True, None, [3])
+            if (field, bad) != ("seed", None)  # a null seed is allowed, see below
+        ],
+    )
+    def test_non_integer_field_refused(self, method, field, bad, spec, tmp_path):
+        data = gaussian_mixture(30, 3, seed=16)
+        path = tmp_path / "model.json"
+        save_model(MODELS[method].fit(spec, 17, data, **SIZES[method]), path)
+        record = json.loads(path.read_text())
+        record[field] = bad
+        path.write_text(json.dumps(record))
+        with pytest.raises(ContractViolationError, match="must be an integer") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value) and repr(field) in str(exc.value)
+
+    def test_seedless_nystrom_round_trips(self, spec, tmp_path):
+        data = gaussian_mixture(30, 3, seed=18)
+        model = NystromModel.from_samples(spec, data[:6], k=4)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert json.loads(path.read_text())["seed"] is None
+        loaded, _ = load_model(path)
+        assert loaded.seed is None and np.array_equal(loaded.samples, model.samples)
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "junk.json"

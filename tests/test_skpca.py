@@ -11,6 +11,7 @@ from stream_kpca import (
     FdSketch,
     KernelSpec,
     SkpcaConfig,
+    SkpcaModel,
     derive_feature_count,
     derive_sketch_size,
     gram,
@@ -21,8 +22,11 @@ from stream_kpca import (
 )
 
 
-def make_config(m=64, ell=8, sigma=1.0, seed=0, **kw):
-    return SkpcaConfig(kernel=KernelSpec(sigma=sigma), seed=seed, m=m, ell=ell, **kw)
+UNSIZED = {"m": None, "ell": None}
+
+
+def make_config(m=64, ell=8, sigma=1.0, seed=0):
+    return SkpcaConfig(kernel=KernelSpec(sigma=sigma), seed=seed, m=m, ell=ell)
 
 
 class TestConfig:
@@ -36,25 +40,33 @@ class TestConfig:
         assert derive_sketch_size(0.45) == 10  # ceil(8.89) = 9, rounded up
 
     def test_eps_requires_delta(self):
-        with pytest.raises(ConfigurationError):
-            SkpcaConfig(kernel=KernelSpec(), seed=0, m=8, ell=4, eps=0.5)
+        with pytest.raises(ConfigurationError, match="eps and delta must be given together"):
+            SkpcaModel.resolve({"m": 8, "ell": 4}, eps=0.5)
 
     def test_requires_some_parameterization(self):
-        with pytest.raises(ConfigurationError):
-            SkpcaConfig(kernel=KernelSpec(), seed=0)
+        with pytest.raises(ConfigurationError, match="m must be given"):
+            SkpcaModel.resolve(UNSIZED)
+        with pytest.raises(ConfigurationError, match="ell must be given"):
+            SkpcaModel.resolve({"m": 8, "ell": None})
 
     def test_rejects_ell_above_m(self):
         with pytest.raises(ConfigurationError):
             make_config(m=4, ell=8)
 
+    def test_config_holds_only_kernel_seed_and_sizes(self):
+        names = [field.name for field in dataclasses.fields(SkpcaConfig)]
+        assert names == ["kernel", "seed", "m", "ell"]
+
     def test_resolve_conflict(self):
-        cfg = SkpcaConfig(kernel=KernelSpec(), seed=0, m=100, eps=0.25, delta=0.1)
-        with pytest.raises(ConfigurationError):
-            cfg.resolve(2000)
+        with pytest.raises(ConfigurationError, match="conflicts with derived"):
+            SkpcaModel.resolve({"m": 100, "ell": None}, 0.25, 0.1, 2000)
+        with pytest.raises(ConfigurationError, match="conflicts with derived"):
+            SkpcaModel.resolve({"m": None, "ell": 8}, 0.25, 0.1, 2000)
 
     def test_resolve_derives_both(self):
-        cfg = SkpcaConfig(kernel=KernelSpec(), seed=0, eps=0.25, delta=0.1)
-        assert cfg.resolve(2000) == (1866, 16)
+        assert SkpcaModel.resolve(UNSIZED, 0.25, 0.1, 2000) == {"m": 1866, "ell": 16}
+        assert SkpcaModel.resolve({"m": 1866, "ell": 16}, 0.25, 0.1, 2000) == {
+            "m": 1866, "ell": 16}
 
 
 class TestTrain:
@@ -114,14 +126,15 @@ class TestTrain:
         assert model.n_seen == n
 
     def test_eps_mode_needs_sized_stream(self):
-        cfg = SkpcaConfig(kernel=KernelSpec(), seed=0, eps=0.5, delta=0.1)
-        with pytest.raises(ConfigurationError):
-            train(cfg, iter([np.zeros(2), np.ones(2)]))
+        # sizes derived from (eps, delta) need the stream length n
+        for n in (None, 0):
+            with pytest.raises(ConfigurationError, match="needs n >= 1 rows"):
+                SkpcaModel.resolve(UNSIZED, 0.5, 0.1, n)
 
     def test_eps_mode_with_sized_stream(self):
-        cfg = SkpcaConfig(kernel=KernelSpec(), seed=0, eps=0.45, delta=0.2)
         data = gaussian_mixture(60, 3, seed=4)
-        model = train(cfg, data)
+        sizes = SkpcaModel.resolve(UNSIZED, 0.45, 0.2, len(data))
+        model = SkpcaModel.fit(KernelSpec(), 0, iter(data), **sizes)
         assert model.ell == derive_sketch_size(0.45)
         assert model.fm.m == derive_feature_count(0.45, 0.2, 60)
 
