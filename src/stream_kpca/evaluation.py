@@ -23,13 +23,15 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .kernels import KernelSpec, gram
-from .numerics import as_matrix, check_rank, factor_gram, sym_eig_top, sym_spectral_norm, thin_svd
+from .numerics import PAIR_SYM_TOL, as_matrix, check_rank, factor_gram, sym_eig_top
+from .numerics import sym_spectral_norm, symmetrized, thin_svd
 from .methods import METHODS, MODELS
 from .seeds import substream_seed
 
@@ -52,23 +54,13 @@ def oracle_max_n() -> int:
 
 
 def _check_pair(g, gp, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    ga = as_matrix(g, "exact gram")
-    gpa = as_matrix(gp, "approximate gram")
+    check = partial(symmetrized, tol=PAIR_SYM_TOL) if symmetric else as_matrix
+    ga, gpa = check(g, "exact gram"), check(gp, "approximate gram")
     if ga.shape != gpa.shape:
         raise ContractViolationError(f"shape mismatch: {ga.shape} vs {gpa.shape}")
     if ga.shape[0] != ga.shape[1]:
         raise ContractViolationError(f"gram matrices must be square, got {ga.shape}")
-    if not symmetric:
-        return ga, gpa
-    pair = []
-    for name, mat in (("exact gram", ga), ("approximate gram", gpa)):
-        scale = max(float(np.linalg.norm(mat)), 1e-300)
-        asym = float(np.linalg.norm(mat - mat.T))
-        if asym > 1e-8 * scale:
-            raise ContractViolationError(f"{name} is not symmetric within tolerance")
-        # symmetrized once accepted: the eigensolvers check symmetry to 1e-10
-        pair.append((mat + mat.T) / 2.0 if asym else mat)
-    return pair[0], pair[1]
+    return ga, gpa
 
 
 def _rank_k_gap(g: np.ndarray, x: np.ndarray, k: int) -> float:
@@ -111,22 +103,19 @@ def frobenius_error(g, gp) -> float:
     return float(np.linalg.norm(ga - gpa)) / n**2
 
 
-def rank_k_frobenius_check(g, gp, k: int, spectral: float | None = None) -> tuple[float, float]:
+def rank_k_frobenius_check(g, gp, k: int) -> tuple[float, float]:
     """Check ||G - G'_k||_F <= ||G - G_k||_F + ||G - G'||_2 * sqrt(k).
 
-    Uses the measured spectral norm of the difference (pass `spectral` to
-    reuse a value already computed), so the inequality is deterministic
-    given that measurement. Both rank-k parts come from top-k eigenpairs
-    only. Returns (lhs, rhs) and raises NumericalFailureError if the
-    inequality fails beyond 1e-6 * n slack.
+    Uses the measured spectral norm of the difference, so the inequality is
+    deterministic given that measurement. Both rank-k parts come from top-k
+    eigenpairs only. Returns (lhs, rhs) and raises NumericalFailureError if
+    the inequality fails beyond 1e-6 * n slack.
     """
     ga, gpa = _check_pair(g, gp, symmetric=True)
     n = ga.shape[0]
     check_rank(k, n)
-    if spectral is None:
-        spectral = sym_spectral_norm(ga - gpa)
     lhs = _rank_k_gap(ga, gpa, k)
-    return lhs, _rank_k_rhs(lhs, _rank_k_gap(ga, ga, k), spectral, k, n)
+    return lhs, _rank_k_rhs(lhs, _rank_k_gap(ga, ga, k), sym_spectral_norm(ga - gpa), k, n)
 
 
 def _score_factor(
@@ -160,8 +149,8 @@ class BenchmarkCell:
 
     skpca needs (m, ell); rnca needs m; nystrom needs c. k, optional, is the
     rank of the scored reconstruction (and nystrom's model rank); it
-    defaults to ell, m and c. The method's `resolve` checks the sizes when
-    the cell is built, before any data is read.
+    defaults to ell, m and c. When the cell is built, before any data is
+    read, `resolve` checks the sizes and the cell checks k against the last.
     """
 
     method: str
@@ -173,7 +162,12 @@ class BenchmarkCell:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        self.sizes()
+        top = list(self.sizes().values())[-1]  # ell, m, or nystrom's checked k
+        if self.k is not None:
+            try:
+                check_rank(self.k, top)
+            except ContractViolationError as exc:
+                raise ConfigurationError(str(exc)) from None
 
     def sizes(self) -> dict:
         """The final sizes the cell's method fits with."""

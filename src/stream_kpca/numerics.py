@@ -23,6 +23,8 @@ from .errors import ContractViolationError, NumericalFailureError
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 LANCZOS_SEED = 0  # seeds the fixed Lanczos start vector, so results repeat
+# symmetry tolerances (x ||g||_F): eigensolver inputs; the dense error measures' gram pairs
+SYM_TOL, PAIR_SYM_TOL = 1e-10, 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -38,8 +40,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def check_rank(k: int, r: int) -> None:
-    """Raise unless the rank k is in [1, r]."""
-    if not 1 <= k <= r:
+    """Raise unless the rank k is an integer (not a bool) in [1, r]."""
+    if type(k) is bool or not isinstance(k, (int, np.integer)) or not 1 <= k <= r:
         raise ContractViolationError(f"k must be in [1, {r}], got {k}")
 
 
@@ -87,20 +89,20 @@ def thin_svd(a) -> SvdResult:
     return SvdResult(u=u, s=s, v=vt.T)
 
 
-def _symmetrized(g, name: str) -> np.ndarray:
-    """(g + g.T) / 2 after checking g is square and symmetric to 1e-10 * ||g||_F.
+def symmetrized(g, name: str, tol: float = SYM_TOL) -> np.ndarray:
+    """(g + g.T) / 2 after checking g is square and symmetric to tol * ||g||_F.
 
     An exactly symmetric g is returned as it is, which is the same value.
     """
-    arr = as_matrix(g, f"{name} input")
+    arr = as_matrix(g, name)
     n, m = arr.shape
     if n != m:
-        raise ContractViolationError(f"{name} needs a square matrix, got {arr.shape}")
+        raise ContractViolationError(f"{name} must be square, got shape {arr.shape}")
     scale = float(np.linalg.norm(arr))
     asym = float(np.linalg.norm(arr - arr.T))
-    if asym > 1e-10 * max(scale, 1e-300):
+    if asym > tol * max(scale, 1e-300):
         raise ContractViolationError(
-            f"matrix is not symmetric: ||g - g.T||_F = {asym:.3e} vs ||g||_F = {scale:.3e}"
+            f"{name} is not symmetric: ||g - g.T||_F = {asym:.3e} vs ||g||_F = {scale:.3e}"
         )
     return (arr + arr.T) / 2.0 if asym else arr
 
@@ -114,7 +116,7 @@ def sym_eig(g) -> tuple[np.ndarray, np.ndarray]:
     before decomposing, since floating-point construction of gram matrices
     breaks exact symmetry.
     """
-    sym = _symmetrized(g, "sym_eig")
+    sym = symmetrized(g, "sym_eig input")
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -133,7 +135,7 @@ def sym_eig_top(g, k: int) -> tuple[np.ndarray, np.ndarray]:
     solver also takes k = n, which ARPACK refuses, and the zero matrix,
     which ARPACK cannot start from.
     """
-    sym = _symmetrized(g, "sym_eig_top")
+    sym = symmetrized(g, "sym_eig_top input")
     n = sym.shape[0]
     check_rank(k, n)
     if 4 * k < n and sym.any():

@@ -329,6 +329,11 @@ class TestCellValidation:
             {"method": "skpca", "m": 64, "ell": 7},
             {"method": "nystrom", "c": 8, "k": 20},
             {"method": "rnca", "m": 0},
+            # the scored rank k must be an integer in [1, ell] or [1, m]
+            {"method": "skpca", "m": 64, "ell": 8, "k": 20},
+            {"method": "rnca", "m": 16, "k": 40},
+            {"method": "rnca", "m": 16, "k": 0},
+            {"method": "rnca", "m": 16, "k": 2.5},
         ],
     )
     def test_bad_sizes_refused_when_built(self, sizes):

@@ -1,14 +1,15 @@
 """Factored scoring: the grid scores each cell from its thin gram factor F.
 
 The grid's report must agree with the dense public error measures applied
-to the same model's reconstructed gram, and the Lanczos spectral error must
-never read below a dense eigensolver on G - G'.
+to the same model's reconstructed gram (and the factor scorer with them for
+any factor), and the Lanczos spectral error must never read below a dense
+eigensolver on G - G'.
 """
 
 import numpy as np
 import pytest
 from conftest import dense_wk_pinv, gaussian_mixture
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stream_kpca import (
@@ -31,7 +32,7 @@ from stream_kpca import (
     train,
 )
 from stream_kpca import evaluation
-from stream_kpca.numerics import MACHINE_EPS
+from stream_kpca.numerics import MACHINE_EPS, factor_gram
 from stream_kpca.seeds import substream_seed
 
 SPEC = KernelSpec(sigma=2.0)
@@ -95,6 +96,39 @@ def _assert_grid_matches_dense(report, g, gp, k):
     assert report.frobenius_err == pytest.approx(frobenius_error(g, gp), rel=1e-9)
     lhs, _ = rank_k_frobenius_check(g, gp, k)
     assert report.rank_k_frobenius == pytest.approx(lhs / n**2, rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=150),
+    width=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(["random", "zero", "repeated"]),
+    k=st.integers(min_value=1, max_value=150),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(n=150, width=3, kind="random", k=9, seed=0)  # k above the width, Lanczos solves
+@example(n=12, width=12, kind="repeated", k=12, seed=1)  # k = n, rank below the width
+@example(n=20, width=4, kind="zero", k=6, seed=2)
+def test_score_factor_matches_dense(n, width, kind, k, seed):
+    # the scorer the grid and criteria 5-6 use, against the dense public
+    # measures on the same G' = F F^T
+    k = min(k, n)
+    data = gaussian_mixture(n, 3, seed=seed)
+    g = gram(SPEC, data)
+    f = 0.3 * np.random.default_rng(seed).standard_normal((n, width))
+    if kind == "zero":
+        f[:] = 0.0
+    elif kind == "repeated":
+        f[:, 1::2] = f[:, :1]
+    gp = factor_gram(f)
+    tail = evaluation._rank_k_gap(g, g, k)
+    spectral, frobenius, rank_k = evaluation._score_factor(g, tail, f, k)
+    # both paths subtract the same array, so the first two agree bit for bit
+    assert spectral == spectral_error(g, gp)
+    assert frobenius == frobenius_error(g, gp)
+    lhs, _ = rank_k_frobenius_check(g, gp, k)
+    floor = 1e-12 * float(np.linalg.norm(g)) / n**2
+    assert rank_k == pytest.approx(lhs / n**2, rel=1e-9, abs=floor)
 
 
 class TestGridMatchesDense:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from conftest import gaussian_mixture
 
 from stream_kpca import (
+    BenchmarkCell,
     ContractViolationError,
+    KernelSpec,
     NumericalFailureError,
+    gram,
+    rank_k_frobenius_check,
+    rnca_train,
+    run_benchmark,
+    sample_feature_map,
     spectral_norm,
     sym_eig,
     sym_eig_top,
@@ -11,6 +19,38 @@ from stream_kpca import (
     thin_svd,
 )
 from stream_kpca import numerics
+
+
+class TestCheckRank:
+    @pytest.mark.parametrize("k", [1, 4, np.int64(4), np.int32(2)])
+    def test_integers_in_range_accepted(self, k):
+        numerics.check_rank(k, 4)
+
+    @pytest.mark.parametrize("k", [0, 5, 2.5, 2.0, np.float64(2.0), True, "2", None])
+    def test_others_refused(self, k):
+        with pytest.raises(ContractViolationError, match=r"k must be in \[1, 4\]"):
+            numerics.check_rank(k, 4)
+
+    # each public entry point that takes a rank refuses a non-integer one
+    # before it reaches ARPACK or a slice
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_rank_k_frobenius_check(self, k):
+        g = gram(KernelSpec(), gaussian_mixture(20, 3, seed=0))
+        with pytest.raises(ContractViolationError, match="k must be in"):
+            rank_k_frobenius_check(g, g, k)
+
+    def test_run_benchmark(self):
+        data = gaussian_mixture(30, 3, seed=1)
+        with pytest.raises(ContractViolationError, match="k must be in"):
+            run_benchmark([BenchmarkCell(method="rnca", m=8)], data, data[:3], k=2.5,
+                          timing_reps=1)
+
+    def test_answer(self):
+        data = gaussian_mixture(30, 3, seed=2)
+        model = rnca_train(sample_feature_map(KernelSpec(), 8, 3, seed=0), data)
+        assert model.answer(data[0], np.int64(2))[0].shape == (2,)
+        with pytest.raises(ContractViolationError, match="k must be in"):
+            model.answer(data[0], 2.5)
 
 
 class TestThinSvd:
