@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -187,7 +187,8 @@ class NystromModel(ProjectionModel):
     def from_record(cls, kernel: KernelSpec, record: dict) -> "NystromModel":
         samples = check_shape(record["samples"], (record["c"], record["d"]), "samples")
         counts = {name: record[name] for name in ("seed", "n_seen", "replacements")}
-        return cls.from_samples(kernel, samples, record["k"], **counts)
+        model = cls.from_samples(kernel, samples, record["k"], **counts)
+        return replace(model, peak_entries=record["peak_entries"])
 
     def record_fields(self) -> dict:
         fields = {"c": self.c, "k": self.k, "replacements": self.replacements}

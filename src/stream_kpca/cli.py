@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 import time
 
@@ -174,26 +175,34 @@ def cmd_train(args) -> int:
 def cmd_test(args) -> int:
     model, center = load_model(args.model)
     k = model.ranks[-1] if args.k is None else args.k
-    results = []
-    start = time.perf_counter()
-    for i, row in enumerate(_input_rows(args)):
-        if row.size != model.d:
-            raise ContractViolationError(
-                f"{args.input}: row {i} has dimension {row.size}, model expects {model.d}"
-            )
-        if center is not None:
-            row = row - center
-        results.append(model.answer(row, k))
-    elapsed = time.perf_counter() - start
-    if not results:
-        raise ContractViolationError(f"{args.input}: no data rows")
-
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        for loading, residual in results:
-            fh.write(",".join(format(v, ".17g") for v in (*loading, residual)) + "\n")
+    # each row is written as it is answered, to a file beside the output that
+    # replaces it only after the last row; the timer covers reading and answering
+    tmp = f"{args.output}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            count, elapsed = 0, 0.0
+            start = time.perf_counter()
+            for count, row in enumerate(_input_rows(args), 1):
+                if row.size != model.d:
+                    raise ContractViolationError(
+                        f"{args.input}: row {count - 1} has dimension {row.size}, "
+                        f"model expects {model.d}"
+                    )
+                loading, residual = model.answer(row if center is None else row - center, k)
+                elapsed += time.perf_counter() - start
+                fh.write(",".join(format(v, ".17g") for v in (*loading, residual)) + "\n")
+                start = time.perf_counter()
+            elapsed += time.perf_counter() - start
+        if not count:
+            raise ContractViolationError(f"{args.input}: no data rows")
+        os.replace(tmp, args.output)
+    except BaseException:
+        os.remove(tmp)
+        raise
     print(
-        f"tested n={len(results)} k={k} total_seconds={elapsed:.6f} "
-        f"per_point_seconds={elapsed / len(results):.9f}"
+        f"tested n={count} k={k} total_seconds={elapsed:.6f} "
+        f"per_point_seconds={elapsed / count:.9f}"
     )
     return 0
 

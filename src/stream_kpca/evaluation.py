@@ -41,18 +41,6 @@ ORACLE_MAX_N_ENV = "STREAM_KPCA_ORACLE_MAX_N"
 TIMING_REPS = 3
 
 
-def oracle_max_n() -> int:
-    raw = os.environ.get(ORACLE_MAX_N_ENV)
-    if raw is None:
-        return ORACLE_MAX_N_DEFAULT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{ORACLE_MAX_N_ENV} must be an integer, got {raw!r}"
-        ) from None
-
-
 def _check_pair(g, gp, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     check = partial(symmetrized, tol=PAIR_SYM_TOL) if symmetric else as_matrix
     ga, gpa = check(g, "exact gram"), check(gp, "approximate gram")
@@ -239,51 +227,6 @@ def _median_time(fn: Callable[[], object], reps: int) -> tuple[float, object]:
     return times[len(times) // 2], result
 
 
-def _run_cell(
-    cell: BenchmarkCell,
-    data: np.ndarray,
-    test_set: np.ndarray,
-    g_exact: np.ndarray,
-    g_tail: float | None,
-    k: int | None,
-    kernel: KernelSpec,
-    cell_seed: int,
-    timing_reps: int,
-) -> ErrorReport:
-    n, d = data.shape
-    fit, sizes = MODELS[cell.method].fit, cell.sizes()
-    train_seconds, model = _median_time(lambda: fit(kernel, cell_seed, data, **sizes), timing_reps)
-    # the benchmark's rank where the model answers at it, else its default
-    k_test = k if k in model.ranks else model.ranks[-1]
-
-    def test_pass():
-        for row in test_set:
-            model.answer(row, k_test)
-
-    factor = model.gram_factor(data, k=cell.k)
-    test_seconds, _ = _median_time(test_pass, timing_reps)
-    spec_err, frob_err, rank_k = _score_factor(g_exact, g_tail, factor, k)
-
-    return ErrorReport(
-        method=cell.method,
-        sample_size=cell.sample_size,
-        space_entries=model.space,
-        spectral_err=spec_err,
-        frobenius_err=frob_err,
-        rank_k_frobenius=rank_k,
-        train_seconds=train_seconds,
-        test_seconds=test_seconds,
-        seed=cell_seed,
-        n=n,
-        d=d,
-        k=k,
-        sigma=kernel.sigma,
-        m=cell.m,
-        ell=cell.ell,
-        c=cell.c,
-    )
-
-
 def run_benchmark(
     grid: Sequence[BenchmarkCell],
     data,
@@ -297,11 +240,11 @@ def run_benchmark(
 ) -> list[ErrorReport]:
     """Score every grid cell against the exact gram oracle.
 
-    Each cell owns an RNG stream derived from (seed, cell index), so the
-    grid is reproducible cell-by-cell regardless of execution order; cells
-    are independent and fan out over `jobs` worker threads with an
-    order-preserving merge. The oracle gram and, when a rank k is scored,
-    its rank-k tail are computed once, before the cells fan out.
+    Every argument is checked first, then the oracle gram and, when a rank
+    k is scored, its rank-k tail are computed once. Each cell owns an RNG
+    stream derived from (seed, cell index), so the grid is reproducible
+    cell-by-cell regardless of execution order; cells are independent and
+    fan out over `jobs` worker threads with an order-preserving merge.
     """
     if not grid:
         return []
@@ -312,10 +255,16 @@ def run_benchmark(
         raise ContractViolationError(
             f"test set has {tst.shape[1]} columns, data has {arr.shape[1]}"
         )
-    n = arr.shape[0]
-    if k is not None and not 1 <= k <= n:
-        raise ConfigurationError(f"k must be in [1, {n}], got {k}")
-    guard = oracle_max_n()
+    n, d = arr.shape
+    if k is not None:
+        if not 1 <= k <= n:
+            raise ConfigurationError(f"k must be in [1, {n}], got {k}")
+        check_rank(k, n)  # a bool or non-integer k, before any n x n work
+    raw = os.environ.get(ORACLE_MAX_N_ENV)
+    try:
+        guard = ORACLE_MAX_N_DEFAULT if raw is None else int(raw)
+    except ValueError:
+        raise ConfigurationError(f"{ORACLE_MAX_N_ENV} must be an integer, got {raw!r}") from None
     if n > guard:
         raise ConfigurationError(
             f"n={n} exceeds the exact-oracle guard ({guard}); use a smaller n "
@@ -324,15 +273,41 @@ def run_benchmark(
     g_exact = gram(kernel, arr)
     g_tail = _rank_k_gap(g_exact, g_exact, k) if k is not None else None
 
-    def job(item):
-        idx, cell = item
+    def run_cell(idx: int, cell: BenchmarkCell) -> ErrorReport:
         cell_seed = substream_seed(seed, "benchmark_cell", idx)
-        return _run_cell(
-            cell, arr, tst, g_exact, g_tail, k, kernel, cell_seed, timing_reps
+        fit, sizes = MODELS[cell.method].fit, cell.sizes()
+        train = partial(fit, kernel, cell_seed, arr, **sizes)
+        train_seconds, model = _median_time(train, timing_reps)
+        # the benchmark's rank where the model answers at it, else its default
+        k_test = k if k in model.ranks else model.ranks[-1]
+
+        def test_pass():
+            for row in tst:
+                model.answer(row, k_test)
+
+        factor = model.gram_factor(arr, k=cell.k)
+        test_seconds, _ = _median_time(test_pass, timing_reps)
+        spec_err, frob_err, rank_k = _score_factor(g_exact, g_tail, factor, k)
+        return ErrorReport(
+            method=cell.method,
+            n=n,
+            d=d,
+            sigma=kernel.sigma,
+            seed=cell_seed,
+            sample_size=cell.sample_size,
+            m=cell.m,
+            ell=cell.ell,
+            c=cell.c,
+            k=k,
+            space_entries=model.space,
+            spectral_err=spec_err,
+            frobenius_err=frob_err,
+            rank_k_frobenius=rank_k,
+            train_seconds=train_seconds,
+            test_seconds=test_seconds,
         )
 
-    items = list(enumerate(grid))
     if jobs <= 1:
-        return [job(item) for item in items]
+        return [run_cell(idx, cell) for idx, cell in enumerate(grid)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(job, items))
+        return list(pool.map(run_cell, range(len(grid)), grid))

@@ -55,9 +55,6 @@ def gram(spec: KernelSpec, a) -> np.ndarray:
     exactly symmetric; the diagonal is exactly 1.
     """
     arr = as_matrix(a, "data matrix")
-    n = arr.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
     sq = pdist(arr, "sqeuclidean")
     g = squareform(np.exp(-sq / (2.0 * spec.sigma**2)))
     np.fill_diagonal(g, 1.0)

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,41 @@ class TestTest:
         bad.write_text("1.0,2.0\n")
         rc = run("test", "--model", model, "--input", bad, "--output", tmp_path / "o.csv")
         assert rc != 0
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_run_leaves_no_output(self, existing, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        run("train", "--input", data_csv, "--output", model, "--m", 16, "--ell", 4)
+        lines = data_csv.read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:3] + ["1.0,2.0"] + lines[3:]) + "\n")
+        out_csv = tmp_path / "load.csv"
+        if existing:
+            out_csv.write_text("earlier output\n")
+        capsys.readouterr()
+        assert run("test", "--model", model, "--input", bad, "--output", out_csv) == 1
+        assert "line 4: expected 6 columns, got 2" in capsys.readouterr().err
+        assert out_csv.read_text() == "earlier output\n" if existing else not out_csv.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["data.csv", "model.json", "bad.csv"] + ["load.csv"] * existing
+        )
+
+    def test_memory_does_not_grow_with_the_input(self, data_csv, tmp_path):
+        model = tmp_path / "model.json"
+        run("train", "--input", data_csv, "--output", model, "--method", "rnca", "--m", 128)
+        peaks = []
+        for n in (500, 2000):
+            test_csv = tmp_path / f"test{n}.csv"
+            run("gen-data", "--output", test_csv, "--n", n, "--d", 6, "--s", 3, "--seed", 6)
+            tracemalloc.start()
+            try:
+                assert run("test", "--model", model, "--input", test_csv,
+                           "--output", tmp_path / "load.csv") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # each answered row holds 129 floats; 1,500 more rows held would add 1.5 MB
+        assert peaks[1] < peaks[0] + 500_000, peaks
 
     def test_nystrom_loadings(self, data_csv, tmp_path):
         model = tmp_path / "ny.json"

@@ -352,6 +352,16 @@ class TestPersistence:
             load_model(path)
         assert str(path) in str(exc.value) and repr(field) in str(exc.value)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stored_peak_entries_kept(self, method, spec, tmp_path):
+        data = gaussian_mixture(30, 3, seed=19)
+        path = tmp_path / "model.json"
+        save_model(MODELS[method].fit(spec, 20, data, **SIZES[method]), path)
+        record = json.loads(path.read_text())
+        record["peak_entries"] = 123456789
+        path.write_text(json.dumps(record))
+        assert load_model(path)[0].peak_entries == 123456789
+
     def test_seedless_nystrom_round_trips(self, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=18)
         model = NystromModel.from_samples(spec, data[:6], k=4)

@@ -18,7 +18,7 @@ from stream_kpca import (
     sym_spectral_norm,
     thin_svd,
 )
-from stream_kpca import numerics
+from stream_kpca import evaluation, numerics
 
 
 class TestCheckRank:
@@ -39,11 +39,17 @@ class TestCheckRank:
         with pytest.raises(ContractViolationError, match="k must be in"):
             rank_k_frobenius_check(g, g, k)
 
-    def test_run_benchmark(self):
+    def test_run_benchmark(self, monkeypatch):
+        # refused before the n x n oracle is built
+        def no_oracle(*args):
+            raise AssertionError("the oracle gram was built")
+
+        monkeypatch.setattr(evaluation, "gram", no_oracle)
         data = gaussian_mixture(30, 3, seed=1)
-        with pytest.raises(ContractViolationError, match="k must be in"):
-            run_benchmark([BenchmarkCell(method="rnca", m=8)], data, data[:3], k=2.5,
-                          timing_reps=1)
+        for k in (2.5, True):
+            with pytest.raises(ContractViolationError, match="k must be in"):
+                run_benchmark([BenchmarkCell(method="rnca", m=8)], data, data[:3], k=k,
+                              timing_reps=1)
 
     def test_answer(self):
         data = gaussian_mixture(30, 3, seed=2)
