@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import evaluation
-from .dataio import count_csv_rows, iter_csv_rows, read_matrix_csv, write_matrix_csv
+from .dataio import (
+    atomic_text,
+    count_csv_rows,
+    iter_csv_rows,
+    read_matrix_csv,
+    row_template,
+    write_matrix_csv,
+)
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .kernels import KernelSpec
 from .methods import METHODS, MODELS
@@ -175,31 +181,26 @@ def cmd_train(args) -> int:
 def cmd_test(args) -> int:
     model, center = load_model(args.model)
     k = model.ranks[-1] if args.k is None else args.k
-    # each row is written as it is answered, to a file beside the output that
-    # replaces it only after the last row; the timer covers reading and answering
-    tmp = f"{args.output}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            count, elapsed = 0, 0.0
-            start = time.perf_counter()
-            for count, row in enumerate(_input_rows(args), 1):
-                if row.size != model.d:
-                    raise ContractViolationError(
-                        f"{args.input}: row {count - 1} has dimension {row.size}, "
-                        f"model expects {model.d}"
-                    )
-                loading, residual = model.answer(row if center is None else row - center, k)
-                elapsed += time.perf_counter() - start
-                fh.write(",".join(format(v, ".17g") for v in (*loading, residual)) + "\n")
-                start = time.perf_counter()
+    # a k outside the model's ranks is refused by answer() before any write,
+    # so it gets no template (one for a huge --k would not fit in memory)
+    template = row_template(k + 1) if k in model.ranks else ""
+    # each row is written as it is answered; the timer covers reading and answering
+    with atomic_text(args.output) as fh:
+        count, elapsed = 0, 0.0
+        start = time.perf_counter()
+        for count, row in enumerate(_input_rows(args), 1):
+            if row.size != model.d:
+                raise ContractViolationError(
+                    f"{args.input}: row {count - 1} has dimension {row.size}, "
+                    f"model expects {model.d}"
+                )
+            loading, residual = model.answer(row if center is None else row - center, k)
             elapsed += time.perf_counter() - start
+            fh.write(template % (*loading.tolist(), residual))
+            start = time.perf_counter()
+        elapsed += time.perf_counter() - start
         if not count:
             raise ContractViolationError(f"{args.input}: no data rows")
-        os.replace(tmp, args.output)
-    except BaseException:
-        os.remove(tmp)
-        raise
     print(
         f"tested n={count} k={k} total_seconds={elapsed:.6f} "
         f"per_point_seconds={elapsed / count:.9f}"

@@ -2,15 +2,21 @@
 
 `row_blocks` is the one ingest path of the three trainers: it checks a row
 stream and hands it over in fixed-size blocks. Readers stream rows so
-training never holds more of the file than one fixed-size chunk of lines;
-writers use 17 significant digits so values round-trip exactly through
-decimal text.
+training never holds more of the file than one fixed-size chunk of lines.
+Writers use 17 significant digits so values round-trip exactly through
+decimal text: `format_rows` formats a whole block with one `%` operation on
+a row template of `%.17g` fields, byte for byte what `format(v, ".17g")`
+gives each value. The CSV files of `gen-data`, `test` and `benchmark` are
+written through `atomic_text`, so a write cut off part way leaves no
+partial file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-from typing import Iterable, Iterator
+import os
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -65,14 +71,54 @@ def _check_finite(block: np.ndarray, start: int) -> None:
         raise ContractViolationError(f"stream point {i} contains non-finite entries")
 
 
+@contextlib.contextmanager
+def atomic_text(path) -> Iterator[TextIO]:
+    """Write a text file that appears at `path` only once it is complete.
+
+    The body writes to `<path>.<pid>.tmp` beside `path`, opened with "x" so
+    it never overwrites a file, which `os.replace` moves onto `path` when the
+    body finishes. On any failure the temporary file is removed, so no
+    output appears and an earlier file at `path` is left as it was. A
+    symlink at `path` is kept and the file it names is replaced. A device or
+    pipe at `path`, such as /dev/stdout, is written in place: replacing it
+    would put a regular file where the device was.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def row_template(width: int) -> str:
+    """A `%` template for one CSV line of `width` 17-significant-digit fields."""
+    return ",".join([f"%.{SIG_DIGITS}g"] * width) + "\n"
+
+
+def format_rows(a: np.ndarray) -> str:
+    """Format a 2-D float block as CSV lines, one per row, in one `%` operation."""
+    rows, width = a.shape
+    return (row_template(width) * rows) % tuple(a.ravel().tolist())
+
+
 def write_matrix_csv(path, a, header: bool = False) -> None:
-    """Write one row per point; optional header names columns c0..c{d-1}."""
+    """Write one row per point, CHUNK_LINES rows per write, through
+    `atomic_text`; optional header names columns c0..c{d-1}."""
     arr = as_matrix(a, "output matrix")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         if header:
             fh.write(",".join(f"c{j}" for j in range(arr.shape[1])) + "\n")
-        for row in arr:
-            fh.write(",".join(format(v, f".{SIG_DIGITS}g") for v in row) + "\n")
+        for start in range(0, arr.shape[0], CHUNK_LINES):
+            fh.write(format_rows(arr[start : start + CHUNK_LINES]))
 
 
 def iter_csv_rows(

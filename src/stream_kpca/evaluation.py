@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dataio import atomic_text
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .kernels import KernelSpec, gram
 from .numerics import PAIR_SYM_TOL, as_matrix, check_rank, factor_gram, sym_eig_top
@@ -207,7 +208,7 @@ def write_reports_csv(reports: Sequence[ErrorReport], path) -> None:
     lines = [",".join(REPORT_COLUMNS)]
     for rep in reports:
         lines.append(",".join(_fmt(getattr(rep, col)) for col in REPORT_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+import errno
 
-from stream_kpca import sym_eig
+import numpy as np
+import pytest
+
+from stream_kpca import dataio, sym_eig
 
 
 def gaussian_mixture(
@@ -42,3 +45,26 @@ def dense_wk_pinv(w: np.ndarray, k: int) -> np.ndarray:
     vk = v[:, ::-1][:, :k]
     wk = (vk * lam[::-1][:k]) @ vk.T
     return np.linalg.pinv(wk, rcond=w.shape[0] * np.finfo(np.float64).eps, hermitian=True)
+
+
+def reference_csv(rows, header: bool = False) -> str:
+    """CSV text formatted one value at a time, the way `dataio` once wrote it."""
+    lines = [",".join(f"c{j}" for j in range(len(rows[0])))] if header else []
+    lines += [",".join(format(v, ".17g") for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture
+def second_chunk_fails(monkeypatch):
+    """`dataio.format_rows` raises a disk-full OSError on its second call."""
+    real = dataio.format_rows
+    calls = []
+
+    def format_rows(a):
+        calls.append(len(a))
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(a)
+
+    monkeypatch.setattr(dataio, "format_rows", format_rows)
+    return calls

@@ -1,14 +1,21 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_csv
 
+import stream_kpca
+from stream_kpca import cli
 from stream_kpca.cli import main
-from stream_kpca.dataio import read_matrix_csv
+from stream_kpca.dataio import CHUNK_LINES, read_matrix_csv
 from stream_kpca.evaluation import read_reports_csv
-from stream_kpca.persist import decode_array, encode_array
+from stream_kpca.persist import decode_array, encode_array, load_model
 
 
 def run(*argv):
@@ -41,6 +48,19 @@ class TestGenData:
         out = tmp_path / "h.csv"
         run("gen-data", "--output", out, "--n", 3, "--d", 2, "--s", 1, "--header")
         assert out.read_text().splitlines()[0] == "c0,c1"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_cut_off_write_leaves_no_output(self, existing, tmp_path, capsys,
+                                            second_chunk_fails):
+        out = tmp_path / "data.csv"
+        if existing:
+            out.write_text("earlier output\n")
+        assert run("gen-data", "--output", out, "--n", CHUNK_LINES + 1, "--d", 2,
+                   "--s", 1) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert second_chunk_fails == [CHUNK_LINES, 1]
+        assert out.read_text() == "earlier output\n" if existing else not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"] * existing
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = run("gen-data", "--output", tmp_path / "x.csv", "--n", 10, "--d", 4, "--s", 9)
@@ -204,6 +224,16 @@ class TestTest:
             ["data.csv", "model.json", "bad.csv"] + ["load.csv"] * existing
         )
 
+    def test_refused_k_gets_no_row_template(self, data_csv, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "model.json"
+        run("train", "--input", data_csv, "--output", model, "--m", 16, "--ell", 4)
+        widths = []
+        monkeypatch.setattr(cli, "row_template", widths.append)  # a huge --k would not fit
+        assert run("test", "--model", model, "--input", data_csv,
+                   "--output", tmp_path / "load.csv", "--k", 10**9) == 1
+        assert "k must be in [1, 4], got 1000000000" in capsys.readouterr().err
+        assert widths == []
+
     def test_memory_does_not_grow_with_the_input(self, data_csv, tmp_path):
         model = tmp_path / "model.json"
         run("train", "--input", data_csv, "--output", model, "--method", "rnca", "--m", 128)
@@ -220,6 +250,20 @@ class TestTest:
                 tracemalloc.stop()
         # each answered row holds 129 floats; 1,500 more rows held would add 1.5 MB
         assert peaks[1] < peaks[0] + 500_000, peaks
+
+    @pytest.mark.parametrize("method,sizes", [
+        ("skpca", ["--m", 32, "--ell", 4]),
+        ("rnca", ["--m", 16]),
+        ("nystrom", ["--c", 10, "--k", 3]),
+    ])
+    def test_loadings_match_per_value_formatting(self, method, sizes, data_csv, tmp_path):
+        model_path = tmp_path / "model.json"
+        run("train", "--input", data_csv, "--output", model_path, "--method", method, *sizes)
+        out_csv = tmp_path / "load.csv"
+        assert run("test", "--model", model_path, "--input", data_csv, "--output", out_csv) == 0
+        model, _ = load_model(model_path)
+        answers = [model.answer(row, model.ranks[-1]) for row in read_matrix_csv(data_csv)]
+        assert out_csv.read_text() == reference_csv([[*loading, res] for loading, res in answers])
 
     def test_nystrom_loadings(self, data_csv, tmp_path):
         model = tmp_path / "ny.json"
@@ -296,6 +340,36 @@ class TestBenchmark:
             assert float(row["frobenius_err"]) >= 0.0
             assert np.isfinite(float(row["spectral_err"]))
             assert np.isfinite(float(row["train_seconds"]))
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_cut_off_report_leaves_no_output(self, existing, data_csv, tmp_path):
+        # the report write runs out of room part way through, as on a full disk:
+        # a child process lowers its own file-size limit below the report's size
+        pytest.importorskip("resource")
+        script = (
+            "import resource, signal, sys\n"
+            "from stream_kpca.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (200, hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        report = tmp_path / "report.csv"
+        if existing:
+            report.write_text("earlier report\n")
+        package_root = str(Path(stream_kpca.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "benchmark", "--input", str(data_csv),
+             "--output", str(report), "--method", "skpca", "--m", "16", "--ell", "4"],
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1 and "error: OSError" in done.stderr, done.stderr
+        assert report.read_text() == "earlier report\n" if existing else not report.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["data.csv"] + ["report.csv"] * existing
+        )
 
     def test_odd_ell_rounded_and_noted(self, data_csv, tmp_path, capsys):
         report = tmp_path / "report.csv"

@@ -1,12 +1,15 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import gaussian_mixture
+from conftest import gaussian_mixture, reference_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stream_kpca
 from stream_kpca import (
@@ -24,6 +27,7 @@ from stream_kpca import (
 from stream_kpca.dataio import (
     CHUNK_LINES,
     count_csv_rows,
+    format_rows,
     iter_csv_rows,
     read_matrix_csv,
     write_matrix_csv,
@@ -87,6 +91,73 @@ class TestCsv:
         rows = iter_csv_rows(path)
         assert np.array_equal(next(rows), [0.0, 1.0])
         assert count_csv_rows(path) == 4
+
+
+TINY, TOP = np.finfo(np.float64).smallest_normal, np.finfo(np.float64).max
+# magnitudes from 1e-300 to 1e300 of either sign, and the subnormals, signed
+# zeros and extremes at both ends of the float64 range
+csv_values = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+    st.floats(-TINY, TINY),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, TOP, -TOP]),
+)
+
+
+class TestCsvEmission:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), width=st.integers(1, 5))
+    def test_format_rows_matches_per_value_formatting(self, tmp_path_factory, data, width):
+        rows = data.draw(st.lists(st.lists(csv_values, min_size=width, max_size=width),
+                                  min_size=1, max_size=6))
+        a = np.array(rows)
+        text = format_rows(a)
+        assert text == reference_csv(a.tolist())
+        path = tmp_path_factory.mktemp("emit") / "rows.csv"
+        path.write_text(text)
+        assert read_matrix_csv(path).tobytes() == a.tobytes()  # bit for bit, -0.0 included
+
+    @pytest.mark.parametrize("n", [CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1])
+    @pytest.mark.parametrize("header", [False, True])
+    def test_chunked_write_matches_per_value_formatting(self, tmp_path, n, header):
+        a = np.random.default_rng(n).standard_normal((n, 3)) * np.logspace(-8, 8, 3)
+        path = tmp_path / "data.csv"
+        write_matrix_csv(path, a, header=header)
+        assert path.read_text() == reference_csv(a.tolist(), header=header)
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    def test_write_through_a_symlink_keeps_the_link(self, tmp_path):
+        (tmp_path / "real.csv").write_text("earlier output\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        write_matrix_csv(link, np.eye(2))
+        assert link.is_symlink() and link.read_text() == reference_csv(np.eye(2).tolist())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_write_to_a_pipe_in_place(self, tmp_path):
+        pipe = tmp_path / "out.pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # the write end then opens at once
+        try:
+            write_matrix_csv(pipe, np.eye(3))
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert text == reference_csv(np.eye(3).tolist())
+        assert [p.name for p in tmp_path.iterdir()] == ["out.pipe"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_cut_off_write_leaves_no_file(self, existing, tmp_path, second_chunk_fails):
+        path = tmp_path / "data.csv"
+        if existing:
+            path.write_text("earlier output\n")
+        with pytest.raises(OSError, match="No space left"):
+            write_matrix_csv(path, np.ones((CHUNK_LINES + 1, 2)))
+        assert second_chunk_fails == [CHUNK_LINES, 1]
+        assert path.read_text() == "earlier output\n" if existing else not path.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"] * existing
 
 
 def per_line_rows(path, *, drop_first_col=False, header=False):
