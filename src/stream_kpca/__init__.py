@@ -6,7 +6,6 @@ from .baselines import (
     NystromModel,
     RncaModel,
     nystrom_space_entries,
-    nystrom_train,
     reservoir_sample,
     rnca_space_entries,
     rnca_train,
@@ -71,7 +70,6 @@ __all__ = [
     "gram",
     "load_model",
     "nystrom_space_entries",
-    "nystrom_train",
     "rank_k_frobenius_check",
     "reservoir_sample",
     "rnca_space_entries",

@@ -181,7 +181,18 @@ class NystromModel(ProjectionModel):
 
     @staticmethod
     def fit(kernel: KernelSpec, seed: int, rows: Iterable, c: int, k: int) -> "NystromModel":
-        return nystrom_train(kernel, c, k, seed, rows)
+        """Stream through c independent reservoir samplers, then build the model."""
+        if c >= 1:  # k is checked before any row is read; reservoir_sample refuses c < 1
+            check_rank(k, c)
+        samples, n_seen, slot_replacements = reservoir_sample(c, seed, rows)
+        return NystromModel.from_samples(
+            kernel,
+            samples,
+            k,
+            seed=seed,
+            n_seen=n_seen,
+            replacements=int(slot_replacements.sum()),
+        )
 
     @classmethod
     def from_record(cls, kernel: KernelSpec, record: dict) -> "NystromModel":
@@ -225,16 +236,13 @@ class NystromModel(ProjectionModel):
         seed: int | None = None,
         n_seen: int = 0,
         replacements: int = 0,
-        counter: EntryCounter | None = None,
     ) -> "NystromModel":
         """Build the model for a fixed set of sampled points."""
         pts = as_matrix(samples, "samples")
         c = pts.shape[0]
         check_rank(k, c)
-        if counter is None:
-            counter = EntryCounter()
-            counter.alloc(pts.size)
-        # a caller-provided counter has already counted the sample buffer
+        counter = EntryCounter()
+        counter.alloc(pts.size)  # the sample buffer
         w_mat = gram(kernel, pts)
         counter.alloc(c * c)
         eigvals, eigvecs = sym_eig(w_mat)
@@ -300,9 +308,7 @@ def _truncated_inverse(eigvals: np.ndarray) -> np.ndarray:
     return np.where(eigvals > cutoff, 1.0 / np.where(eigvals > cutoff, eigvals, 1.0), 0.0)
 
 
-def reservoir_sample(
-    c: int, seed: int, stream: Iterable, counter: EntryCounter | None = None
-) -> tuple[np.ndarray, int, np.ndarray]:
+def reservoir_sample(c: int, seed: int, stream: Iterable) -> tuple[np.ndarray, int, np.ndarray]:
     """Run c independent single-slot reservoir samplers over a stream.
 
     Slot i replaces its content at step t with probability 1/t, so each
@@ -319,33 +325,12 @@ def reservoir_sample(
         t += 1
         if t == 1:
             samples = np.repeat(block, c, axis=0)
-            if counter is not None:
-                counter.alloc(samples.size)
         else:
             replace = rng.random(c) < (1.0 / t)
             if replace.any():
                 samples[replace] = block[0]
                 slot_replacements[replace] += 1
     return samples, t, slot_replacements
-
-
-def nystrom_train(
-    spec: KernelSpec, c: int, k: int, seed: int, stream: Iterable
-) -> NystromModel:
-    """Stream through c independent reservoir samplers, then build the model."""
-    if c >= 1:
-        check_rank(k, c)
-    counter = EntryCounter()
-    samples, n_seen, slot_replacements = reservoir_sample(c, seed, stream, counter=counter)
-    return NystromModel.from_samples(
-        spec,
-        samples,
-        k,
-        seed=seed,
-        n_seen=n_seen,
-        replacements=int(slot_replacements.sum()),
-        counter=counter,
-    )
 
 
 def derive_sample_count(eps: float, delta: float, n: int) -> int:

@@ -148,10 +148,11 @@ def cmd_train(args) -> int:
         if name not in model_cls.sizes:
             _require(getattr(args, name) is None, f"--{name} does not apply to {args.method}")
     given = {name: getattr(args, name) for name in model_cls.sizes}
-    # every size is checked before the input is read, but sizes derived from
+    # every size and the seed are checked before the input is read, but sizes derived from
     # (eps, delta) depend on n, so they are settled after the mean or a counting pass
     derive = eps_delta_given(args.eps, args.delta)
     sizes = None if derive else model_cls.resolve(given)
+    seed = substream_seed(args.seed, model_cls.seed_stream)
 
     center = n = None
     if args.center:
@@ -165,7 +166,6 @@ def cmd_train(args) -> int:
     rows = _input_rows(args)
     if center is not None:
         rows = (row - center for row in rows)
-    seed = substream_seed(args.seed, model_cls.seed_stream)
     start = time.perf_counter()
     model = model_cls.fit(kernel, seed, rows, **sizes)
     elapsed = time.perf_counter() - start
@@ -239,12 +239,12 @@ def cmd_benchmark(args) -> int:
         for combo in itertools.product(*(values[name] for name in MODELS[method].sizes))
     ]
 
+    rng = np.random.default_rng(substream_seed(args.seed, "test_split"))
     data = read_matrix_csv(args.input, drop_first_col=args.drop_first_col, header=args.header)
     if args.center:
         data = data - data.mean(axis=0)
     n = data.shape[0]
     _require(n >= 2, "benchmark needs at least 2 rows")
-    rng = np.random.default_rng(substream_seed(args.seed, "test_split"))
     test_size = min(1000, max(1, n // 5))
     perm = rng.permutation(n)
     test_set = data[perm[:test_size]]

@@ -16,7 +16,9 @@ Raw bytes keep every value bit for bit and let the m x m RNCA covariance
 encode and decode at memory speed, where decimal text took seconds and
 twice the space. A decoded array is a writable, C-contiguous float64 array
 with finite entries; any other payload is refused. Serialization is
-byte-stable: identical training inputs produce identical files.
+byte-stable: identical training inputs produce identical files. A file
+is written through `dataio.atomic_text`, so a cut-off write leaves any
+earlier model at its path as it was.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 
 import numpy as np
 
+from .dataio import atomic_text
 from .errors import ContractViolationError
 from .kernels import KernelSpec
 from .methods import MODELS
@@ -88,7 +91,7 @@ def save_model(model, path, center=None) -> None:
         key: encode_array(value) if isinstance(value, np.ndarray) else value
         for key, value in record.items()
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_text(path) as fh:
         fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
 
 

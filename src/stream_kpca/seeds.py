@@ -21,6 +21,8 @@ STREAM_TAGS = {
 
 
 def substream_seed(master: int, name: str, index: int = 0) -> int:
+    if master < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {master}")
     try:
         tag = STREAM_TAGS[name]
     except KeyError:

@@ -226,7 +226,7 @@ def test_criterion_07_nystrom_parity():
     worst = 0.0
     start = time.perf_counter()
     for seed in range(20):
-        model = sk.nystrom_train(spec, c=c, k=c, seed=seed, stream=data)
+        model = sk.NystromModel.fit(spec, seed, data, c=c, k=c)
         err = sk.spectral_error(g, model.reconstruct(data))
         worst = max(worst, err)
         passes += err <= EPS5
@@ -300,7 +300,7 @@ def cost_runs():
     del rnca_model
 
     t0 = time.perf_counter()
-    nystrom_model = sk.nystrom_train(spec, c=C9, k=C9, seed=3, stream=data)
+    nystrom_model = sk.NystromModel.fit(spec, 3, data, c=C9, k=C9)
     out["nystrom_train"] = time.perf_counter() - t0
     out["nystrom_peak"] = nystrom_model.peak_entries
 

@@ -15,7 +15,6 @@ from stream_kpca import (
     eval_kernel,
     gram,
     nystrom_space_entries,
-    nystrom_train,
     reservoir_sample,
     rnca_space_entries,
     rnca_train,
@@ -160,20 +159,20 @@ class TestReservoir:
 
 class TestNystrom:
     def test_single_point_single_slot(self, spec):
-        model = nystrom_train(spec, c=1, k=1, seed=0, stream=[np.array([1.0, 2.0])])
+        model = NystromModel.fit(spec, 0, [np.array([1.0, 2.0])], c=1, k=1)
         assert np.array_equal(model.samples, [[1.0, 2.0]])
         assert np.array_equal(model.w, [[1.0]])
 
     def test_duplicate_slots_handled_by_pinv(self, spec):
         # two distinct points into five slots: W is rank-deficient by design
         stream = [np.array([0.0, 0.0]), np.array([1.0, 1.0])]
-        model = nystrom_train(spec, c=5, k=5, seed=1, stream=stream)
+        model = NystromModel.fit(spec, 1, stream, c=5, k=5)
         recon = model.reconstruct(np.vstack(stream))
         assert np.all(np.isfinite(recon))
 
     def test_kernel_row_at_sample(self, spec):
         data = gaussian_mixture(20, 3, seed=12)
-        model = nystrom_train(spec, c=6, k=6, seed=2, stream=data)
+        model = NystromModel.fit(spec, 2, data, c=6, k=6)
         c_row, loading = model.test(model.samples[3])
         assert c_row[3] == pytest.approx(1.0, abs=1e-12)
         assert loading.shape == (6,)
@@ -182,7 +181,7 @@ class TestNystrom:
     def test_answer_is_test_and_residual(self, spec, k):
         # answer shares one V_k^T c_row between the loading and the residual
         data = gaussian_mixture(30, 3, seed=16)
-        model = nystrom_train(spec, c=8, k=k, seed=4, stream=data)
+        model = NystromModel.fit(spec, 4, data, c=8, k=k)
         for x in data:
             c_row, want_loading = model.test(x)
             loading, residual = model.answer(x, k)
@@ -191,7 +190,7 @@ class TestNystrom:
 
     def test_loading_length_k(self, spec):
         data = gaussian_mixture(20, 3, seed=13)
-        model = nystrom_train(spec, c=8, k=3, seed=3, stream=data)
+        model = NystromModel.fit(spec, 3, data, c=8, k=3)
         _, loading = model.test(data[0])
         assert loading.shape == (3,)
 
@@ -224,7 +223,7 @@ class TestNystrom:
 
     def test_reconstruct_symmetric_low_rank(self, spec):
         data = gaussian_mixture(25, 3, seed=17)
-        model = nystrom_train(spec, c=10, k=4, seed=4, stream=data)
+        model = NystromModel.fit(spec, 4, data, c=10, k=4)
         recon = model.reconstruct(data)
         assert np.linalg.norm(recon - recon.T) <= 1e-10
         w = np.linalg.eigvalsh(recon)
@@ -232,7 +231,7 @@ class TestNystrom:
 
     def test_only_final_samples_matter(self, spec):
         data = gaussian_mixture(30, 3, seed=18)
-        model = nystrom_train(spec, c=5, k=5, seed=5, stream=data)
+        model = NystromModel.fit(spec, 5, data, c=5, k=5)
         rebuilt = NystromModel.from_samples(spec, model.samples, k=5)
         assert np.allclose(
             model.reconstruct(data[:10]), rebuilt.reconstruct(data[:10]), atol=1e-12
@@ -253,12 +252,19 @@ class TestNystrom:
 
     def test_k_out_of_range(self, spec):
         with pytest.raises(ContractViolationError):
-            nystrom_train(spec, c=4, k=5, seed=0, stream=gaussian_mixture(10, 2, seed=19))
+            NystromModel.fit(spec, 0, gaussian_mixture(10, 2, seed=19), c=4, k=5)
+
+    @pytest.mark.parametrize("c, d, expected", [(1024, 20, 2_118_656), (8, 3, 160)])
+    def test_peak_entries_itemized(self, spec, c, d, expected):
+        model = NystromModel.fit(spec, 13, gaussian_mixture(5, d, seed=13), c=c, k=c)
+        # sample buffer, W, eigendecomposition; the sample buffer is counted once
+        assert model.peak_entries == c * d + c * c + (c * c + c) == expected
+        assert model.peak_entries <= 3 * nystrom_space_entries(c, d)
 
     def test_space_accounting(self, spec):
         c, d = 12, 3
         data = gaussian_mixture(40, d, seed=20)
-        model = nystrom_train(spec, c=c, k=c, seed=6, stream=data)
+        model = NystromModel.fit(spec, 6, data, c=c, k=c)
         assert model.peak_entries <= 3 * nystrom_space_entries(c, d)
 
 
@@ -266,14 +272,23 @@ SIZES = {"skpca": {"m": 24, "ell": 6}, "rnca": {"m": 20}, "nystrom": {"c": 10, "
 
 
 def _direct(method, spec, seed, data):
-    """The method's trainer called directly, and the arrays that define its model."""
+    """The method's trainer called directly (Nystrom's building blocks, reservoir
+    then from_samples), and the arrays that define its model."""
     if method == "skpca":
         model = train(SkpcaConfig(kernel=spec, seed=seed, **SIZES["skpca"]), data)
         return model, ("w", "s")
     if method == "rnca":
         model = rnca_train(sample_feature_map(spec, SIZES["rnca"]["m"], data.shape[1], seed), data)
         return model, ("cov", "eigvals", "eigvecs")
-    model = nystrom_train(spec, **SIZES["nystrom"], seed=seed, stream=data)
+    samples, n_seen, slot_replacements = reservoir_sample(SIZES["nystrom"]["c"], seed, data)
+    model = NystromModel.from_samples(
+        spec,
+        samples,
+        SIZES["nystrom"]["k"],
+        seed=seed,
+        n_seen=n_seen,
+        replacements=int(slot_replacements.sum()),
+    )
     return model, ("samples", "eigvals", "eigvecs")
 
 
@@ -345,7 +360,7 @@ class TestRegistry:
                 MODELS[method].resolve(sizes, eps, delta, 80)
 
     def test_nystrom_answers_only_at_its_rank(self, spec):
-        model = nystrom_train(spec, c=6, k=3, seed=0, stream=gaussian_mixture(20, 2, seed=1))
+        model = NystromModel.fit(spec, 0, gaussian_mixture(20, 2, seed=1), c=6, k=3)
         assert model.ranks == range(3, 4)
         loading, residual = model.answer(np.zeros(2), 3)
         assert loading.shape == (3,) and residual >= 0.0

@@ -22,6 +22,28 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_file_size_limited(limit, *argv):
+    """Run the CLI in a child process whose writes are cut off at `limit` bytes,
+    as on a full disk: the child lowers its own file-size limit and ignores
+    SIGXFSZ, so an oversized write fails with `File too large`."""
+    pytest.importorskip("resource")
+    script = (
+        "import resource, signal, sys\n"
+        "from stream_kpca.cli import main\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    package_root = str(Path(stream_kpca.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
 class TestGenData:
     def test_small_file_shape(self, tmp_path):
         out = tmp_path / "data.csv"
@@ -160,6 +182,7 @@ class TestTrain:
             ("--m", "64", "--ell", "8", "--eps", "0.5"),
             ("--eps", "1.5", "--delta", "0.1"),
             ("--method", "nystrom", "--eps", "0.5", "--delta", "0"),
+            ("--m", "64", "--ell", "8", "--seed", "-1"),
         ],
     )
     def test_arguments_checked_before_the_input_is_read(self, flags, center, tmp_path, capsys):
@@ -168,6 +191,18 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ConfigurationError:")
         assert not model.exists()
+
+    def test_cut_off_model_write_keeps_the_earlier_model(self, data_csv, tmp_path):
+        model = tmp_path / "rnca.json"
+        assert run("train", "--input", data_csv, "--output", model, "--method", "rnca",
+                   "--m", 64) == 0
+        earlier = model.read_bytes()
+        # the new model (m = 128) is far larger than the 4,096 bytes the child may write
+        done = run_file_size_limited(4096, "train", "--input", data_csv, "--output", model,
+                                     "--method", "rnca", "--m", 128)
+        assert done.returncode == 1 and "File too large" in done.stderr, done.stderr
+        assert model.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "rnca.json"]
 
     def test_center_flag_stores_mean(self, data_csv, tmp_path):
         model = tmp_path / "c.json"
@@ -223,6 +258,17 @@ class TestTest:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["data.csv", "model.json", "bad.csv"] + ["load.csv"] * existing
         )
+
+    def test_nystrom_rank_fixed_at_train_time(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run("train", "--input", data_csv, "--output", model, "--method", "nystrom",
+                   "--c", 10, "--k", 4) == 0
+        capsys.readouterr()
+        assert run("test", "--model", model, "--input", data_csv,
+                   "--output", tmp_path / "load.csv", "--k", 3) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigurationError:") and "fixed at train time" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "model.json"]
 
     def test_refused_k_gets_no_row_template(self, data_csv, tmp_path, capsys, monkeypatch):
         model = tmp_path / "model.json"
@@ -343,28 +389,12 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_cut_off_report_leaves_no_output(self, existing, data_csv, tmp_path):
-        # the report write runs out of room part way through, as on a full disk:
-        # a child process lowers its own file-size limit below the report's size
-        pytest.importorskip("resource")
-        script = (
-            "import resource, signal, sys\n"
-            "from stream_kpca.cli import main\n"
-            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
-            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_FSIZE, (200, hard))\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
+        # the report write runs out of room part way through, as on a full disk
         report = tmp_path / "report.csv"
         if existing:
             report.write_text("earlier report\n")
-        package_root = str(Path(stream_kpca.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script, "benchmark", "--input", str(data_csv),
-             "--output", str(report), "--method", "skpca", "--m", "16", "--ell", "4"],
-            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
-            capture_output=True, text=True, timeout=300,
-        )
+        done = run_file_size_limited(200, "benchmark", "--input", data_csv, "--output", report,
+                                     "--method", "skpca", "--m", 16, "--ell", 4)
         assert done.returncode == 1 and "error: OSError" in done.stderr, done.stderr
         assert report.read_text() == "earlier report\n" if existing else not report.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -396,7 +426,9 @@ class TestBenchmark:
         assert capsys.readouterr().err.startswith("error: ConfigurationError:")
         assert not report.exists()
 
-    @pytest.mark.parametrize("flags", [("--sigma", "0"), ("--k", "0"), ("--m", "1", "--ell", "4")])
+    @pytest.mark.parametrize(
+        "flags", [("--sigma", "0"), ("--k", "0"), ("--m", "1", "--ell", "4"), ("--seed", "-1")]
+    )
     def test_arguments_checked_before_the_input_is_read(self, flags, tmp_path, capsys):
         rc = run("benchmark", "--input", tmp_path / "missing.csv", "--output",
                  tmp_path / "r.csv", *flags)
@@ -407,6 +439,21 @@ class TestBenchmark:
         rc = run("benchmark", "--input", data_csv, "--output", tmp_path / "r.csv",
                  "--method", "exact-kpca")
         assert rc != 0
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "benchmark"])
+def test_negative_seed_is_one_error_line(command, data_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    flags = {
+        "gen-data": ["--n", 10, "--d", 4, "--s", 2],
+        "train": ["--input", data_csv, "--m", 16, "--ell", 4],
+        "benchmark": ["--input", data_csv, "--method", "skpca", "--m", 16, "--ell", 4],
+    }[command]
+    capsys.readouterr()
+    assert run(command, "--output", out, *flags, "--seed", -1) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ConfigurationError: seed must be a non-negative integer, got -1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 class TestHelp:

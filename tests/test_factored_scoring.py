@@ -22,7 +22,6 @@ from stream_kpca import (
     frobenius_error,
     gram,
     load_model,
-    nystrom_train,
     rank_k_frobenius_check,
     rnca_train,
     run_benchmark,
@@ -43,7 +42,7 @@ def _model(method: str, data: np.ndarray, seed: int):
         return train(SkpcaConfig(kernel=SPEC, seed=seed, m=24, ell=4), data)
     if method == "rnca":
         return rnca_train(sample_feature_map(SPEC, 16, data.shape[1], seed), data)
-    return nystrom_train(SPEC, c=8, k=5, seed=seed, stream=data)
+    return NystromModel.fit(SPEC, seed, data, c=8, k=5)
 
 
 def _reconstruct(model, data):
@@ -85,7 +84,7 @@ def _grid_case(cell: BenchmarkCell, data, k: int, seed: int):
         model = rnca_train(sample_feature_map(SPEC, cell.m, data.shape[1], cell_seed), data)
         gp = model.reconstruct(data, k=cell.k)
     else:
-        model = nystrom_train(SPEC, cell.c, cell.k or cell.c, cell_seed, data)
+        model = NystromModel.fit(SPEC, cell_seed, data, c=cell.c, k=cell.k or cell.c)
         gp = model.reconstruct(data)
     return report, model, gp
 

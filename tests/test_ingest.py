@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from stream_kpca import (
     ContractViolationError,
     KernelSpec,
+    NystromModel,
     RncaModel,
     SkpcaConfig,
     SkpcaModel,
-    nystrom_train,
     reservoir_sample,
     rnca_train,
     sample_feature_map,
@@ -140,7 +140,7 @@ def test_empty_stream_every_entry_point(tmp_path):
     with pytest.raises(ContractViolationError, match=EMPTY):
         RncaModel.fit(SPEC, 0, [], m=8)
     with pytest.raises(ContractViolationError, match=EMPTY):
-        nystrom_train(SPEC, c=3, k=2, seed=0, stream=iter([]))
+        NystromModel.fit(SPEC, 0, iter([]), c=3, k=2)
 
 
 def test_rnca_checks_the_stream_width_against_its_map():

@@ -18,7 +18,6 @@ from stream_kpca import (
     NystromModel,
     SkpcaConfig,
     load_model,
-    nystrom_train,
     rnca_train,
     sample_feature_map,
     save_model,
@@ -363,7 +362,7 @@ class TestPersistence:
 
     def test_nystrom_round_trip_with_center(self, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=7)
-        model = nystrom_train(spec, c=6, k=4, seed=8, stream=data)
+        model = NystromModel.fit(spec, 8, data, c=6, k=4)
         center = data.mean(axis=0)
         path = tmp_path / "model.json"
         save_model(model, path, center=center)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from stream_kpca import (
     ContractViolationError,
     KernelSpec,
+    NystromModel,
     SkpcaConfig,
     cross_gram,
     eval_kernel,
     gram,
-    nystrom_train,
     rnca_train,
     sample_feature_map,
     spectral_norm,
@@ -176,7 +176,7 @@ def _projection_models():
     data = gaussian_mixture(600, 3, seed=31)
     skpca = train(SkpcaConfig(kernel=spec, seed=4, m=24, ell=6), data)
     rnca = rnca_train(sample_feature_map(spec, 24, 3, 4), data)
-    nystrom = nystrom_train(spec, c=10, k=10, seed=4, stream=data)
+    nystrom = NystromModel.fit(spec, 4, data, c=10, k=10)
     return data, {
         "skpca": (skpca, skpca.w, skpca.fm.apply),
         "rnca": (rnca, rnca.eigvecs, rnca.fm.apply),
