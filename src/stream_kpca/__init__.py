@@ -10,7 +10,6 @@ from .baselines import (
     rnca_space_entries,
     rnca_train,
 )
-from .counters import EntryCounter
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .evaluation import (
     BenchmarkCell,
@@ -49,7 +48,6 @@ __all__ = [
     "BenchmarkCell",
     "ConfigurationError",
     "ContractViolationError",
-    "EntryCounter",
     "ErrorReport",
     "FdSketch",
     "FeatureMap",

@@ -27,7 +27,6 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg.blas import dsyr
 
-from .counters import EntryCounter
 from .dataio import row_blocks
 from .errors import ConfigurationError, ContractViolationError
 from .kernels import KernelSpec, cross_gram, gram
@@ -111,12 +110,8 @@ def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
     is mirrored once at the end, so `cov` is C-contiguous and exactly
     symmetric.
     """
-    counter = EntryCounter()
     m = fm.m
-    counter.alloc(m * fm.d + m)  # feature map
     cov = np.zeros((m, m))
-    counter.alloc(m * m)
-    counter.alloc(m)  # lifted row
     acc = cov.T  # F-contiguous view of cov; dsyr updates its upper triangle in place
     n_seen = 0
     for block in row_blocks(stream, 1):  # one rank-one update per point
@@ -124,24 +119,24 @@ def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
             raise ContractViolationError(
                 f"stream point {n_seen} has dimension {block.shape[1]}, expected {fm.d}"
             )
-        counter.alloc(m)  # the lift's phase-reduction transient
-        lifted = fm.apply(block[0])
-        counter.free(m)
         # rebound, so the sum stays right even if the wrapper ever copies
-        acc = dsyr(1.0, lifted, a=acc, lower=0, overwrite_a=1)
+        acc = dsyr(1.0, fm.apply(block[0]), a=acc, lower=0, overwrite_a=1)
         n_seen += 1
     cov = acc.T  # C-contiguous again; the sums sit in its lower triangle
     for j in range(1, m):  # mirror it, one column at a time
         cov[:j, j] = cov[j, :j]
-    counter.alloc(m * m + m)  # eigendecomposition output
     eigvals, eigvecs = sym_eig(cov)
+    # peak logical entries: the frequencies and cov (the space formula), the
+    # phases, one lifted row, then the eigendecomposition; the lift's phase
+    # transient (m) is gone before the eigendecomposition, which is larger
+    peak = rnca_space_entries(m, fm.d) + m + m + (m * m + m)
     return RncaModel(
         fm=fm,
         cov=cov,
         n_seen=n_seen,
         eigvals=eigvals,
         eigvecs=eigvecs,
-        peak_entries=counter.peak,
+        peak_entries=peak,
     )
 
 
@@ -241,14 +236,7 @@ class NystromModel(ProjectionModel):
         pts = as_matrix(samples, "samples")
         c = pts.shape[0]
         check_rank(k, c)
-        counter = EntryCounter()
-        counter.alloc(pts.size)  # the sample buffer
-        w_mat = gram(kernel, pts)
-        counter.alloc(c * c)
-        eigvals, eigvecs = sym_eig(w_mat)
-        counter.alloc(c * c + c)
-        counter.free(c * c)  # W released once decomposed
-        del w_mat
+        eigvals, eigvecs = sym_eig(gram(kernel, pts))
         return cls(
             kernel=kernel,
             samples=pts,
@@ -258,7 +246,9 @@ class NystromModel(ProjectionModel):
             seed=seed,
             n_seen=n_seen,
             replacements=replacements,
-            peak_entries=counter.peak,
+            # peak logical entries: the samples and W (the space formula), then
+            # W's eigendecomposition
+            peak_entries=nystrom_space_entries(c, pts.shape[1]) + (c * c + c),
         )
 
     def answer(self, x, k: int) -> tuple[np.ndarray, float]:

@@ -230,6 +230,7 @@ def cmd_benchmark(args) -> int:
     kernel = KernelSpec(sigma=args.sigma)
     # k's upper bound, the training row count, is checked once the data is read
     _require(args.k is None or args.k >= 1, f"k must be in [1, n] for n rows, got {args.k}")
+    _require(args.jobs >= 1, f"jobs must be >= 1, got {args.jobs}")
 
     # a method's cells: every combination of its sizes' values; k takes its default
     values = {"m": sizes, "ell": even_ells, "c": csizes, "k": [None]}

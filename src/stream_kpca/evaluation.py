@@ -247,6 +247,8 @@ def run_benchmark(
     cell-by-cell regardless of execution order; cells are independent and
     fan out over `jobs` worker threads with an order-preserving merge.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if not grid:
         return []
     kernel = kernel if kernel is not None else KernelSpec()

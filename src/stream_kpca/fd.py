@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counters import EntryCounter
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .numerics import thin_svd
 
@@ -49,7 +48,7 @@ class FdSketch:
     structural zero-row bookkeeping.
     """
 
-    def __init__(self, ell: int, m: int, counter: EntryCounter | None = None):
+    def __init__(self, ell: int, m: int):
         if ell % 2 != 0:
             raise ConfigurationError(f"sketch size ell must be even, got {ell}")
         if not 2 <= ell <= m:
@@ -62,9 +61,6 @@ class FdSketch:
         self.filled = 0
         self.inserted = 0
         self.shrinks = 0
-        self._counter = counter
-        if counter is not None:
-            counter.alloc(ell * m)
 
     def insert(self, z) -> None:
         """Write one row, or each row of a 2-D block, into zero slots.
@@ -93,10 +89,6 @@ class FdSketch:
                 self._shrink()
 
     def _shrink(self) -> None:
-        # Gram matrix and its eigenvectors, the eigenvalues, and the rebuilt rows
-        temporaries = 2 * self.ell**2 + self.ell + self.ell * self.m
-        if self._counter is not None:
-            self._counter.alloc(temporaries)
         try:
             lam, u = np.linalg.eigh(self.b @ self.b.T)
         except np.linalg.LinAlgError as exc:
@@ -111,8 +103,6 @@ class FdSketch:
         self.b[kept:] = 0.0
         self.filled = kept
         self.shrinks += 1
-        if self._counter is not None:
-            self._counter.free(temporaries)
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """Fresh thin SVD of the current sketch.

@@ -23,7 +23,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .counters import EntryCounter
 from .dataio import row_blocks
 from .errors import ConfigurationError
 from .fd import FdSketch
@@ -168,20 +167,28 @@ def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:
     blocks = row_blocks(stream, ell)
     first = next(blocks)
 
-    counter = EntryCounter()
     fm = sample_feature_map(config.kernel, m, first.shape[1], config.seed)
-    counter.alloc(m * fm.d + m)  # frequencies + phases
-    counter.alloc(ell * fm.d + ell * m)  # input block + its lift
-    sketch = FdSketch(ell, m, counter=counter)
+    sketch = FdSketch(ell, m)
     for block in itertools.chain([first], blocks):
-        counter.alloc(ell * m)  # the lift's phase-reduction transient
-        lifted = fm.apply_batch(block)
-        counter.free(ell * m)
-        sketch.insert(lifted)
-
-    counter.alloc(ell * m + ell**2 + ell)  # final basis SVD temporaries
+        sketch.insert(fm.apply_batch(block))
     w, s = sketch.basis()
-    return SkpcaModel(fm=fm, w=w, s=s, n_seen=sketch.inserted, peak_entries=counter.peak)
+
+    # Peak logical entries: the matrix and vector entries the run itself
+    # materializes. This is bookkeeping, not an allocator hook: LAPACK's
+    # scratch is not counted. The last term is the larger transient, FD's
+    # shrink once the sketch has shrunk, else the final basis SVD; the lift's
+    # phase reduction (ell*m) is smaller than either.
+    peak = (
+        (m * fm.d + m)  # feature map: frequencies and phases
+        + (ell * fm.d + ell * m)  # one input block and its lift
+        + ell * m  # the sketch
+        + (
+            ell * m + 2 * ell**2 + ell  # shrink: rebuilt rows, Gram and eigenvectors, eigenvalues
+            if sketch.shrinks
+            else ell * m + ell**2 + ell  # basis SVD: right factor, left factor, singular values
+        )
+    )
+    return SkpcaModel(fm=fm, w=w, s=s, n_seen=sketch.inserted, peak_entries=peak)
 
 
 def space_entries(m: int, ell: int, d: int) -> int:

@@ -309,6 +309,26 @@ class TestRegistry:
         assert fitted.space == {"skpca": 24 * 3 + 24 * 6, "rnca": 20 * 20 + 20 * 3,
                                 "nystrom": 10 * 10 + 10 * 3}[method]
 
+    # literal peaks, so a change to any term of a model's count shows here; the
+    # SKPCA rows with n < ell never shrink, so their transient is the basis SVD's
+    @pytest.mark.parametrize(
+        "method, sizes, d, n, expected",
+        [
+            ("skpca", {"m": 8, "ell": 4}, 3, 3, 160),
+            ("skpca", {"m": 8, "ell": 4}, 3, 4, 176),
+            ("skpca", {"m": 64, "ell": 8}, 20, 7, 3_112),
+            ("skpca", {"m": 64, "ell": 8}, 20, 8, 3_176),
+            ("skpca", {"m": 2, "ell": 2}, 1, 1, 24),
+            ("rnca", {"m": 7}, 3, 1, 140),
+            ("rnca", {"m": 64}, 20, 40, 9_664),
+            ("nystrom", {"c": 33, "k": 33}, 20, 2, 2_871),
+            ("nystrom", {"c": 1, "k": 1}, 1, 40, 4),
+        ],
+    )
+    def test_peak_entries_pinned(self, spec, method, sizes, d, n, expected):
+        model = MODELS[method].fit(spec, 3, gaussian_mixture(n, d, seed=22), **sizes)
+        assert model.peak_entries == expected
+
     @pytest.mark.parametrize(
         "method,given,eps,delta,want",
         [

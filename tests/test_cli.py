@@ -427,7 +427,15 @@ class TestBenchmark:
         assert not report.exists()
 
     @pytest.mark.parametrize(
-        "flags", [("--sigma", "0"), ("--k", "0"), ("--m", "1", "--ell", "4"), ("--seed", "-1")]
+        "flags",
+        [
+            ("--sigma", "0"),
+            ("--k", "0"),
+            ("--m", "1", "--ell", "4"),
+            ("--seed", "-1"),
+            ("--jobs", "0"),
+            ("--jobs", "-1"),
+        ],
     )
     def test_arguments_checked_before_the_input_is_read(self, flags, tmp_path, capsys):
         rc = run("benchmark", "--input", tmp_path / "missing.csv", "--output",

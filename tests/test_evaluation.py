@@ -277,6 +277,12 @@ class TestRunBenchmark:
             run_benchmark([BenchmarkCell(method="nystrom", c=8)], small_noisy(40),
                           small_noisy(5, seed=1), k=k, kernel=spec, timing_reps=1)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one(self, spec, jobs):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            run_benchmark([BenchmarkCell(method="nystrom", c=8)], small_noisy(40),
+                          small_noisy(5, seed=1), kernel=spec, jobs=jobs, timing_reps=1)
+
     def test_oracle_guard(self, spec, monkeypatch):
         monkeypatch.setenv(ORACLE_MAX_N_ENV, "50")
         with pytest.raises(ConfigurationError, match="ORACLE_MAX_N"):

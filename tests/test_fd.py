@@ -4,7 +4,6 @@ import pytest
 from stream_kpca import (
     ConfigurationError,
     ContractViolationError,
-    EntryCounter,
     FdSketch,
     NumericalFailureError,
 )
@@ -224,16 +223,3 @@ class TestCovarianceGuarantee:
         for k in (0, 1, 2):
             tail = float(np.sum(svals[k:] ** 2))
             assert response <= tail / (ell - k) + 1e-8
-
-
-class TestCounter:
-    def test_counter_tracks_buffer_and_shrink_temps(self):
-        counter = EntryCounter()
-        sk = FdSketch(4, 10, counter=counter)
-        assert counter.peak == 40
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            sk.insert(rng.standard_normal(10))
-        # buffer + svd temporaries + rebuilt rows, all bounded by 3x the buffer
-        assert counter.peak <= 3 * 40 + 4 * 4 + 4
-        assert counter.current == 40
