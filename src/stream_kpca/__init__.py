@@ -23,7 +23,6 @@ from .evaluation import (
 from .fd import FdSketch
 from .kernels import KernelSpec, cross_gram, eval_kernel, gram
 from .numerics import (
-    SvdResult,
     spectral_norm,
     sym_eig,
     sym_eig_top,
@@ -57,7 +56,6 @@ __all__ = [
     "RncaModel",
     "SkpcaConfig",
     "SkpcaModel",
-    "SvdResult",
     "SyntheticSpec",
     "cross_gram",
     "derive_feature_count",

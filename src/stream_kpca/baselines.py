@@ -1,13 +1,13 @@
 """Streaming baselines: RNCA and reservoir-sampled Nystrom.
 
-Both read the stream one checked point at a time through
-`dataio.row_blocks`, the ingest path SKPCA also uses.
+Both read the stream through `dataio.row_blocks`, the ingest path SKPCA
+also uses: RNCA in blocks of `RNCA_BLOCK_ROWS` rows, the reservoir one
+checked point at a time.
 
 RNCA performs exact linear PCA on the random-feature lift of the stream by
-accumulating the m x m covariance with one in-place symmetric rank-one
-update per point (BLAS `dsyr`, on one triangle, mirrored once at the end),
-then eigendecomposing once at the end of training. Test projection and the
-gram factor are `rff.FeatureMapModel`'s, on the covariance eigenvectors.
+lifting each block Z and adding Z^T Z to the m x m covariance, then
+eigendecomposing once at the end of training. Test projection and the gram
+factor are `rff.FeatureMapModel`'s, on the covariance eigenvectors.
 
 The Nystrom baseline keeps c independent single-slot reservoir samplers
 (slot i replaces its content at stream step t with probability 1/t, so
@@ -18,16 +18,14 @@ the sampled points, formed through the model's (n, k) gram factor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg.blas import dsyr
 
-from .dataio import row_blocks
+from .dataio import first_point, row_blocks
 from .errors import ConfigurationError, ContractViolationError
 from .kernels import KernelSpec, cross_gram, gram
 from .numerics import (
@@ -46,6 +44,8 @@ from .rff import (
     stored_feature_map,
 )
 from .skpca import derive_feature_count, eps_delta_given, log_term, settle_size
+
+RNCA_BLOCK_ROWS = 64  # rows RNCA lifts and adds to its covariance at a time (at most m)
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,8 @@ class RncaModel(FeatureMapModel):
     @staticmethod
     def fit(kernel: KernelSpec, seed: int, rows: Iterable, m: int) -> "RncaModel":
         """Train on a row stream; the feature map takes d from the first row."""
-        rows = iter(rows)
-        first = next(rows, None)
-        if first is None:
-            raise ContractViolationError("training stream is empty")
-        fm = sample_feature_map(kernel, m, np.size(first), seed)
-        return rnca_train(fm, itertools.chain([first], rows))
+        first, rows = first_point(rows)
+        return rnca_train(sample_feature_map(kernel, m, first.size, seed), rows)
 
     @classmethod
     def from_record(cls, kernel: KernelSpec, record: dict) -> "RncaModel":
@@ -106,30 +102,26 @@ class RncaModel(FeatureMapModel):
 def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
     """Accumulate Cov = sum_i z_i z_i^T in one pass; eigendecompose once at the end.
 
-    Each point is one in-place `dsyr` update of one triangle; the triangle
-    is mirrored once at the end, so `cov` is C-contiguous and exactly
-    symmetric.
+    Each block of b = min(RNCA_BLOCK_ROWS, m) rows is lifted to Z and Z^T Z
+    is added to `cov`. numpy forms Z^T Z of a fresh contiguous Z with one
+    symmetric BLAS call and copies its triangle across, so `cov` is
+    C-contiguous and exactly symmetric.
     """
     m = fm.m
+    b = min(RNCA_BLOCK_ROWS, m)
     cov = np.zeros((m, m))
-    acc = cov.T  # F-contiguous view of cov; dsyr updates its upper triangle in place
     n_seen = 0
-    for block in row_blocks(stream, 1):  # one rank-one update per point
-        if block.shape[1] != fm.d:  # only point 0 can differ: row_blocks holds the rest to it
-            raise ContractViolationError(
-                f"stream point {n_seen} has dimension {block.shape[1]}, expected {fm.d}"
-            )
-        # rebound, so the sum stays right even if the wrapper ever copies
-        acc = dsyr(1.0, fm.apply(block[0]), a=acc, lower=0, overwrite_a=1)
-        n_seen += 1
-    cov = acc.T  # C-contiguous again; the sums sit in its lower triangle
-    for j in range(1, m):  # mirror it, one column at a time
-        cov[:j, j] = cov[j, :j]
+    for block in row_blocks(stream, b, fm.d):
+        z = fm.apply_batch(block)
+        cov += z.T @ z
+        n_seen += block.shape[0]
+    del block, z  # the last block and its lift go before the eigendecomposition
     eigvals, eigvecs = sym_eig(cov)
     # peak logical entries: the frequencies and cov (the space formula), the
-    # phases, one lifted row, then the eigendecomposition; the lift's phase
-    # transient (m) is gone before the eigendecomposition, which is larger
-    peak = rnca_space_entries(m, fm.d) + m + m + (m * m + m)
+    # phases, then the block step: its m x m product, one input block and its
+    # lift. It outweighs the lift's phase transient (b*m) and the later
+    # eigendecomposition (m*m + m), which runs once the block is gone.
+    peak = rnca_space_entries(m, fm.d) + m + m * m + b * (fm.d + m)
     return RncaModel(
         fm=fm,
         cov=cov,

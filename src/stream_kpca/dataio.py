@@ -27,24 +27,33 @@ SIG_DIGITS = 17
 CHUNK_LINES = 512
 
 
-def row_blocks(stream: Iterable, size: int) -> Iterator[np.ndarray]:
-    """Yield the rows of a stream as checked (<= size, d) float64 blocks.
-
-    d is the first row's width, and each later row's width is checked as it
-    arrives; each block is checked once for non-finite entries. Errors name
-    the first bad `stream point i` in stream order, and an empty stream
-    raises. A yielded block is one buffer that the next block overwrites,
-    so it is only valid until the next one is requested.
-    """
+def first_point(stream: Iterable) -> tuple[np.ndarray, Iterator]:
+    """The checked first point of a stream, and an iterator over the whole
+    stream from that point on. Raises if the stream is empty, or if point 0
+    is empty or has a non-finite entry."""
     rows = iter(stream)
     try:
         first = as_vector(next(rows), "stream point 0")
     except StopIteration:
         raise ContractViolationError("training stream is empty") from None
-    d = first.size
+    return first, itertools.chain([first], rows)
+
+
+def row_blocks(stream: Iterable, size: int, d: int | None = None) -> Iterator[np.ndarray]:
+    """Yield the rows of a stream as checked (<= size, d) float64 blocks.
+
+    d is the first row's width unless given, and each row's width is checked
+    against it as it arrives; each block is checked once for non-finite
+    entries. Errors name the first bad `stream point i` in stream order, and
+    an empty stream raises (`first_point`). A yielded block is one buffer
+    that the next block overwrites, so it is only valid until the next one
+    is requested.
+    """
+    first, rows = first_point(stream)
+    d = first.size if d is None else d
     block = np.empty((size, d))
     held = start = 0
-    for i, row in enumerate(itertools.chain([first], rows)):
+    for i, row in enumerate(rows):
         vec = np.asarray(row, dtype=np.float64).ravel()
         if vec.size != d:
             _check_finite(block[:held], start)  # earlier rows' errors come first

@@ -12,8 +12,6 @@ All functions are pure: no shared mutable state, safe to call concurrently.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
@@ -62,21 +60,10 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-class SvdResult(NamedTuple):
-    """Thin SVD `a = u @ diag(s) @ v.T` with r = min(rows, cols).
-
-    u: (n, r) orthonormal columns
-    s: (r,) non-increasing, non-negative
-    v: (d, r) orthonormal columns
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
-def thin_svd(a) -> SvdResult:
-    """Thin singular value decomposition of a dense matrix.
+def thin_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD `a = u @ diag(s) @ v.T` of a dense (n, d) matrix, as (u, s, v)
+    with r = min(n, d): u (n, r) and v (d, r) have orthonormal columns, and
+    s (r,) is non-increasing and non-negative.
 
     Raises NumericalFailureError if the LAPACK iteration does not converge
     (never returns silent garbage).
@@ -86,7 +73,7 @@ def thin_svd(a) -> SvdResult:
         u, s, vt = np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    return SvdResult(u=u, s=s, v=vt.T)
+    return u, s, vt.T
 
 
 def symmetrized(g, name: str, tol: float = SYM_TOL) -> np.ndarray:

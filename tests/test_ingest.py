@@ -1,6 +1,8 @@
 """The one ingest path, `dataio.row_blocks`, and the three trainers that read
-it: SKPCA (`train`, blocks of ell rows), RNCA (`rnca_train`, one row at a
-time) and the Nystrom reservoir (`reservoir_sample`, one row at a time).
+it: SKPCA (`train`, blocks of ell rows), RNCA (`rnca_train`, blocks of
+min(64, m) rows) and the Nystrom reservoir (`reservoir_sample`, one row at a
+time). `RncaModel.fit` reads the width of its map from `dataio.first_point`,
+the first-point check `row_blocks` makes.
 
 Streams are drawn from a numpy seed that hypothesis chooses, so each example
 is cheap and every failure replays from the printed seed.
@@ -28,6 +30,7 @@ from stream_kpca import (
     train,
 )
 from stream_kpca.dataio import iter_csv_rows, row_blocks, write_matrix_csv
+from stream_kpca.methods import METHODS, MODELS
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 SPEC = KernelSpec(sigma=2.0)
@@ -143,10 +146,38 @@ def test_empty_stream_every_entry_point(tmp_path):
         NystromModel.fit(SPEC, 0, iter([]), c=3, k=2)
 
 
+FIT_SIZES = {"skpca": {"m": 16, "ell": 4}, "rnca": {"m": 12}, "nystrom": {"c": 5, "k": 5}}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], EMPTY),
+        ([np.array([]), np.ones(2)], "stream point 0 must be non-empty"),
+        ([None, np.ones(2)], "stream point 0 contains non-finite entries"),
+        ([np.array([1.0, np.inf]), np.ones(2)], "stream point 0 contains non-finite entries"),
+    ],
+    ids=["empty-stream", "empty-first-row", "none-first-point", "non-finite-first-point"],
+)
+def test_every_fit_names_a_bad_first_point_alike(method, rows, message):
+    with pytest.raises(ContractViolationError, match="^" + re.escape(message)):
+        MODELS[method].fit(SPEC, 3, iter(rows), **FIT_SIZES[method])
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_rnca_fit_refuses_m_below_one(m):
+    with pytest.raises(ContractViolationError, match="feature count m must be >= 1"):
+        RncaModel.fit(SPEC, 3, [np.ones(2)], m=m)
+
+
 def test_rnca_checks_the_stream_width_against_its_map():
     fm = sample_feature_map(SPEC, 8, 2, 0)
-    with pytest.raises(ContractViolationError, match="^stream point 0 has dimension 3, expected 2"):
-        rnca_train(fm, [np.zeros(3), np.zeros(3)])
+    want = "^stream point 0 has dimension 3, expected 2"
+    # point 0 is named first, also when a later point of its block is bad in another way
+    for second in (np.zeros(3), np.zeros(2), np.full(3, np.nan)):
+        with pytest.raises(ContractViolationError, match=want):
+            rnca_train(fm, [np.zeros(3), second])
 
 
 def test_empty_row_is_named():

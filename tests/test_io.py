@@ -329,13 +329,14 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rnca_file_byte_identical_across_blas_threads(self, tmp_path):
-        # at m = 1,024 OpenBLAS splits its calls across the threads it is given
+        # at m = 1,024 OpenBLAS splits its calls across the threads it is given;
+        # 200 rows are three full 64-row blocks and a partial one
         script = (
             "import sys; sys.path.insert(0, sys.argv[2])\n"
             "from conftest import gaussian_mixture\n"
             "from stream_kpca import KernelSpec, rnca_train, sample_feature_map, save_model\n"
             "fm = sample_feature_map(KernelSpec(sigma=3.5), 1024, 20, 2)\n"
-            "save_model(rnca_train(fm, gaussian_mixture(50, 20, seed=0)), sys.argv[1])\n"
+            "save_model(rnca_train(fm, gaussian_mixture(200, 20, seed=0)), sys.argv[1])\n"
         )
         package_root = str(Path(stream_kpca.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
