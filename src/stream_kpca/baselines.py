@@ -112,15 +112,16 @@ def rnca_train(fm: FeatureMap, stream: Iterable) -> RncaModel:
     cov = np.zeros((m, m))
     n_seen = 0
     for block in row_blocks(stream, b, fm.d):
-        z = fm.apply_batch(block)
+        z = fm.lift_rows(block)  # row_blocks has checked the block
         cov += z.T @ z
         n_seen += block.shape[0]
-    del block, z  # the last block and its lift go before the eigendecomposition
+        del z  # each lift goes before the next one is made
+    del block  # as does the last block, before the eigendecomposition
     eigvals, eigvecs = sym_eig(cov)
     # peak logical entries: the frequencies and cov (the space formula), the
     # phases, then the block step: its m x m product, one input block and its
-    # lift. It outweighs the lift's phase transient (b*m) and the later
-    # eigendecomposition (m*m + m), which runs once the block is gone.
+    # lift. The lift step, b*d + 2*b*m with its phase transient, is no larger
+    # (b <= m); the eigendecomposition (m*m + m) runs once the block is gone.
     peak = rnca_space_entries(m, fm.d) + m + m * m + b * (fm.d + m)
     return RncaModel(
         fm=fm,

@@ -44,13 +44,17 @@ def row_blocks(stream: Iterable, size: int, d: int | None = None) -> Iterator[np
 
     d is the first row's width unless given, and each row's width is checked
     against it as it arrives; each block is checked once for non-finite
-    entries. Errors name the first bad `stream point i` in stream order, and
-    an empty stream raises (`first_point`). A yielded block is one buffer
-    that the next block overwrites, so it is only valid until the next one
-    is requested.
+    entries (a 2-D float64 array of width d, all at once, then read in place
+    as slices). Errors name the first bad `stream point i` in stream order,
+    and an empty stream raises (`first_point`). A yielded block is valid only
+    until the next one is requested, and is never to be written to.
     """
     first, rows = first_point(stream)
     d = first.size if d is None else d
+    if type(stream) is np.ndarray and stream.dtype == np.float64 and stream.shape[1:] == (d,):
+        _check_finite(stream, 0)
+        yield from (stream[start : start + size] for start in range(0, len(stream), size))
+        return
     block = np.empty((size, d))
     held = start = 0
     for i, row in enumerate(rows):

@@ -34,7 +34,10 @@ and 0 <= C <= I makes the right side positive semidefinite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .numerics import thin_svd
@@ -63,12 +66,7 @@ class FdSketch:
         self.shrinks = 0
 
     def insert(self, z) -> None:
-        """Write one row, or each row of a 2-D block, into zero slots.
-
-        The input is validated once; the sketch shrinks every time its
-        buffer becomes full, so any split of a stream into blocks gives the
-        same sketch as inserting its rows one at a time.
-        """
+        """Check one row, or each row of a 2-D block, then `insert_rows` it."""
         rows = np.asarray(z, dtype=np.float64)
         if rows.ndim != 2:
             rows = rows.reshape(1, -1)
@@ -78,6 +76,12 @@ class FdSketch:
             )
         if not np.all(np.isfinite(rows)):
             raise ContractViolationError("row contains non-finite entries")
+        self.insert_rows(rows)
+
+    def insert_rows(self, rows: np.ndarray) -> None:
+        """Write an (n, m) block of finite float64 rows into zero slots,
+        unchecked. The sketch shrinks every time its buffer fills, so any split
+        of a stream into blocks gives the same sketch as one row at a time."""
         start = 0
         while start < rows.shape[0]:
             take = min(self.ell - self.filled, rows.shape[0] - start)
@@ -89,17 +93,19 @@ class FdSketch:
                 self._shrink()
 
     def _shrink(self) -> None:
-        try:
-            lam, u = np.linalg.eigh(self.b @ self.b.T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(
-                f"sketch eigendecomposition did not converge: {exc}"
-            ) from exc
-        lam, u = lam[::-1], u[:, ::-1]
+        gram = self.b @ self.b.T
+        # the trace, a sum of squares, is finite iff every row is and none overflows
+        if not math.isfinite(gram.trace()):
+            raise NumericalFailureError("sketch rows hold non-finite or overflowing entries")
+        # the LAPACK routine np.linalg.eigh calls, without the wrapper's cost
+        lam, u, info = dsyevd(gram, lower=1)
+        if info:
+            raise NumericalFailureError(f"sketch eigendecomposition did not converge: {info=}")
+        lam = lam.tolist()[::-1]  # descending, as ell plain floats, cheaper than arrays here
         delta = max(lam[self.ell // 2 - 1], 0.0)
-        kept = int(np.count_nonzero(lam > delta))  # a prefix, since lam descends
-        scale = np.sqrt((lam[:kept] - delta) / lam[:kept])
-        self.b[:kept] = (u[:, :kept] * scale).T @ self.b
+        scale = [math.sqrt((v - delta) / v) for v in lam if v > delta]  # a prefix, as lam descends
+        kept = len(scale)
+        self.b[:kept] = (u[:, ::-1][:, :kept] * scale).T @ self.b
         self.b[kept:] = 0.0
         self.filled = kept
         self.shrinks += 1

@@ -62,7 +62,7 @@ class FeatureMap:
             raise ContractViolationError(
                 f"point has dimension {xv.size}, feature map expects {self.d}"
             )
-        return self._lift(xv[None, :])[0]
+        return self.lift_rows(xv[None, :])[0]
 
     def apply_batch(self, a) -> np.ndarray:
         """Lift each row of an (n, d) matrix; returns (n, m)."""
@@ -71,10 +71,11 @@ class FeatureMap:
             raise ContractViolationError(
                 f"data has {arr.shape[1]} columns, feature map expects {self.d}"
             )
-        return self._lift(arr)
+        return self.lift_rows(arr)
 
-    def _lift(self, arr: np.ndarray) -> np.ndarray:
-        """Lift checked rows in place on their phase product.
+    def lift_rows(self, arr: np.ndarray) -> np.ndarray:
+        """Lift finite (n, d) float64 rows in place on their phase product,
+        unchecked: the trainers pass the checked blocks of `dataio.row_blocks`.
 
         The phase is reduced to [-pi, pi] in f64, which allocates the one
         transient of the lift's size (the caller counts it), and its cosine

@@ -170,7 +170,7 @@ def train(config: SkpcaConfig, stream: Iterable) -> SkpcaModel:
     fm = sample_feature_map(config.kernel, m, first.shape[1], config.seed)
     sketch = FdSketch(ell, m)
     for block in itertools.chain([first], blocks):
-        sketch.insert(fm.apply_batch(block))
+        sketch.insert_rows(fm.lift_rows(block))  # row_blocks has checked the block
     w, s = sketch.basis()
 
     # Peak logical entries: the matrix and vector entries the run itself

@@ -310,6 +310,7 @@ class TestRegistry:
             ("rnca", {"m": 64}, 20, 40, 14_912),
             ("nystrom", {"c": 33, "k": 33}, 20, 2, 2_871),
             ("nystrom", {"c": 1, "k": 1}, 1, 40, 4),
+            ("rnca", {"m": 64}, 20, 150, 14_912),  # three blocks: each lift goes before the next
         ],
     )
     def test_peak_entries_pinned(self, spec, method, sizes, d, n, expected):

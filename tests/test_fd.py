@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stream_kpca import fd
 from stream_kpca import (
     ConfigurationError,
     ContractViolationError,
@@ -88,14 +89,21 @@ class TestInsert:
         assert sk.inserted == 0  # validated before any row is written
 
     def test_eigensolver_failure_is_numerical_failure(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("no convergence")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        # LAPACK's dsyevd reports non-convergence through a positive info
+        monkeypatch.setattr(fd, "dsyevd", lambda gram, lower: (None, None, 1))
         sk = FdSketch(2, 4)
         sk.insert(np.ones(4))
         with pytest.raises(NumericalFailureError):
             sk.insert(np.ones(4))
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_unchecked_non_finite_rows_fail_the_shrink(self, bad):
+        # insert_rows trusts its rows; a bad one (or one whose square
+        # overflows) must still fail, not vanish in the shrink
+        sk = FdSketch(2, 4)
+        with pytest.raises(NumericalFailureError, match="non-finite or overflowing"):
+            sk.insert_rows(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]]))
 
     def test_zero_row_consumes_slot(self):
         sk = FdSketch(4, 6)

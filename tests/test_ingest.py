@@ -60,13 +60,14 @@ def draw_data(seed: int, n: int, d: int) -> np.ndarray:
 @given(seed=seeds, n=st.integers(1, 20), d=st.integers(1, 4), size=st.integers(1, 7))
 def test_blocks_cover_the_stream_in_order(seed, n, d, size):
     data = draw_data(seed, n, d)
-    shapes, rows = [], []
-    for block in row_blocks(iter(data.tolist()), size):
-        assert block.dtype == np.float64
-        shapes.append(block.shape)
-        rows.append(block.copy())  # a block is only valid until the next one
-    assert shapes == [(size, d)] * (n // size) + ([(n % size, d)] if n % size else [])
-    assert np.array_equal(np.vstack(rows), data)
+    for stream in (iter(data.tolist()), data):  # an array is read as slices of itself
+        shapes, rows = [], []
+        for block in row_blocks(stream, size):
+            assert block.dtype == np.float64
+            shapes.append(block.shape)
+            rows.append(block.copy())  # a block is only valid until the next one
+        assert shapes == [(size, d)] * (n // size) + ([(n % size, d)] if n % size else [])
+        assert np.array_equal(np.vstack(rows), data)
 
 
 @PROPERTY
@@ -118,8 +119,10 @@ def test_first_bad_point_is_named(seed, n, d, where, kind, value, later):
         # a second, later fault of the other kind must not be the one reported
         rows[-1] = np.ones(d + 1) if kind == "non-finite" else np.full(d, value)
     pattern = "^" + re.escape(f"stream point {i} ")
+    # an array is read in place and checked all at once
+    array = [np.array(rows)] if all(row.shape == (d,) for row in rows) else []
     for trainer in TRAINERS:
-        for stream in (rows, iter(rows)):
+        for stream in [rows, iter(rows), *array]:
             with pytest.raises(ContractViolationError, match=pattern):
                 run(trainer, stream, d)
 
