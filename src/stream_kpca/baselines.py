@@ -209,11 +209,6 @@ class NystromModel(ProjectionModel):
     def space(self) -> int:
         return nystrom_space_entries(self.c, self.d)
 
-    @property
-    def w(self) -> np.ndarray:
-        """Kernel matrix of the samples, recomputed on demand."""
-        return gram(self.kernel, self.samples)
-
     @classmethod
     def from_samples(
         cls,

@@ -6,9 +6,11 @@ and Frobenius error ||G - G'||_F / n^2 (global). The benchmark grid trains
 each (method, config) cell on the data, times train and per-point test
 work, and scores the cell's gram approximation G' = F F^T against the exact
 gram oracle G from its thin (n, r) factor F: the spectral error is a
-Lanczos iteration on G - F F^T, the best rank-k part of G' comes from a
-thin SVD of F, and the oracle's rank-k tail ||G - G_k||_F, which the
-rank-k bound needs, is computed once per run from G's top k eigenpairs.
+Lanczos iteration on G - F F^T, and the rank-k error ||G - G'_k||_F takes
+the best rank-k part of G' from a thin SVD of F. The harness measures; it
+asserts no bound. The rank-k inequality rank_k_frobenius_check reports is
+not a theorem for every pair, so the acceptance tests assert it on the
+paper's runs only.
 
 The exact oracle materializes an n x n matrix, so the harness refuses
 n > 5000 by default; the STREAM_KPCA_ORACLE_MAX_N environment variable
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataio import atomic_text
-from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
+from .errors import ConfigurationError, ContractViolationError
 from .kernels import KernelSpec, gram
 from .numerics import PAIR_SYM_TOL, as_matrix, check_rank, factor_gram, sym_eig_top
 from .numerics import sym_spectral_norm, symmetrized, thin_svd
@@ -63,21 +65,6 @@ def _rank_k_gap(g: np.ndarray, x: np.ndarray, k: int) -> float:
     return float(np.linalg.norm(g - (v * w) @ v.T))
 
 
-def _rank_k_rhs(lhs: float, tail: float, spectral: float, k: int, n: int) -> float:
-    """The bound ||G - G_k||_F + ||G - G'||_2 * sqrt(k) on lhs = ||G - G'_k||_F.
-
-    `tail` is ||G - G_k||_F and `spectral` the measured ||G - G'||_2.
-    Raises NumericalFailureError if lhs exceeds the bound beyond 1e-6 * n
-    slack.
-    """
-    rhs = tail + spectral * math.sqrt(k)
-    if lhs > rhs + 1e-6 * n:
-        raise NumericalFailureError(
-            f"rank-{k} Frobenius bound violated: lhs={lhs:.6e} > rhs={rhs:.6e}"
-        )
-    return rhs
-
-
 def spectral_error(g, gp) -> float:
     """Worst-case error ||G - G'||_2 / n."""
     ga, gpa = _check_pair(g, gp, symmetric=True)
@@ -93,42 +80,39 @@ def frobenius_error(g, gp) -> float:
 
 
 def rank_k_frobenius_check(g, gp, k: int) -> tuple[float, float]:
-    """Check ||G - G'_k||_F <= ||G - G_k||_F + ||G - G'||_2 * sqrt(k).
+    """Both sides of ||G - G'_k||_F <= ||G - G_k||_F + ||G - G'||_2 * sqrt(k).
 
-    Uses the measured spectral norm of the difference, so the inequality is
-    deterministic given that measurement. Both rank-k parts come from top-k
-    eigenpairs only. Returns (lhs, rhs) and raises NumericalFailureError if
-    the inequality fails beyond 1e-6 * n slack.
+    Returns (lhs, rhs), with rhs from the measured spectral norm of the
+    difference; both rank-k parts come from top-k eigenpairs only. Nothing
+    is asserted: the inequality is not a theorem for every pair (the 2 x 2
+    PSD pair in the README breaks it), so callers compare the two sides.
     """
     ga, gpa = _check_pair(g, gp, symmetric=True)
-    n = ga.shape[0]
-    check_rank(k, n)
+    check_rank(k, ga.shape[0])
     lhs = _rank_k_gap(ga, gpa, k)
-    return lhs, _rank_k_rhs(lhs, _rank_k_gap(ga, ga, k), sym_spectral_norm(ga - gpa), k, n)
+    return lhs, _rank_k_gap(ga, ga, k) + sym_spectral_norm(ga - gpa) * math.sqrt(k)
 
 
 def _score_factor(
-    g_exact: np.ndarray, tail: float | None, f: np.ndarray, k: int | None
+    g_exact: np.ndarray, f: np.ndarray, k: int | None
 ) -> tuple[float, float, float | None]:
     """(spectral, Frobenius, rank-k Frobenius) errors of G' = F F^T, normalized.
 
     G is symmetric by construction and F F^T is symmetrized, so the
-    difference is scored without the dense API's symmetry scans. G'_k =
+    difference is scored without the dense API's symmetry scans. The
+    rank-k error ||G - G'_k||_F / n^2 is scored when k is given: G'_k =
     U_k S_k^2 U_k^T from the thin SVD F = U S V^T, with k capped at the
-    factor's width r; these are the top-k eigenpairs of the PSD G'. The
-    rank-k score is computed when the run's `tail` ||G - G_k||_F is given.
+    factor's width r; these are the top-k eigenpairs of the PSD G'.
     """
     n = g_exact.shape[0]
     diff = g_exact - factor_gram(f)
     spectral = sym_spectral_norm(diff)
     frobenius = float(np.linalg.norm(diff))
     rank_k = None
-    if tail is not None:
+    if k is not None:
         u, s, _ = thin_svd(f)
         t = u[:, :k] * s[:k]
-        lhs = float(np.linalg.norm(g_exact - t @ t.T))
-        _rank_k_rhs(lhs, tail, spectral, k, n)
-        rank_k = lhs / n**2
+        rank_k = float(np.linalg.norm(g_exact - t @ t.T)) / n**2
     return spectral / n, frobenius / n**2, rank_k
 
 
@@ -241,9 +225,9 @@ def run_benchmark(
 ) -> list[ErrorReport]:
     """Score every grid cell against the exact gram oracle.
 
-    Every argument is checked first, then the oracle gram and, when a rank
-    k is scored, its rank-k tail are computed once. Each cell owns an RNG
-    stream derived from (seed, cell index), so the grid is reproducible
+    Every argument is checked first, then the oracle gram is computed once;
+    each cell's rank-k error is scored when k is given. Each cell owns an
+    RNG stream derived from (seed, cell index), so the grid is reproducible
     cell-by-cell regardless of execution order; cells are independent and
     fan out over `jobs` worker threads with an order-preserving merge.
     """
@@ -274,7 +258,6 @@ def run_benchmark(
             f"or raise {ORACLE_MAX_N_ENV}"
         )
     g_exact = gram(kernel, arr)
-    g_tail = _rank_k_gap(g_exact, g_exact, k) if k is not None else None
 
     def run_cell(idx: int, cell: BenchmarkCell) -> ErrorReport:
         cell_seed = substream_seed(seed, "benchmark_cell", idx)
@@ -290,7 +273,7 @@ def run_benchmark(
 
         factor = model.gram_factor(arr, k=cell.k)
         test_seconds, _ = _median_time(test_pass, timing_reps)
-        spec_err, frob_err, rank_k = _score_factor(g_exact, g_tail, factor, k)
+        spec_err, frob_err, rank_k = _score_factor(g_exact, factor, k)
         return ErrorReport(
             method=cell.method,
             n=n,

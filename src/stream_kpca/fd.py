@@ -124,6 +124,3 @@ class FdSketch:
         # contiguous copy so persisted-and-reloaded bases take the same BLAS
         # paths as freshly trained ones
         return np.ascontiguousarray(v), s
-
-    def frobenius_sq(self) -> float:
-        return float(np.sum(self.b**2))

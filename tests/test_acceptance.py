@@ -162,8 +162,8 @@ EPS5, DELTA5, N5, D5, ELL5 = 0.25, 0.1, 2000, 10, 16
 @pytest.fixture(scope="session")
 def skpca_runs():
     """20 seeded runs scored as the benchmark grid scores a cell: from the
-    model's thin gram factor F against the oracle G, with G's rank-k tail
-    ||G - G_k||_F solved once per k rather than once per run."""
+    model's thin gram factor F against the oracle G. Criterion 6's right-hand
+    side needs G's rank-k tail ||G - G_k||_F, solved here once per k."""
     m = sk.derive_feature_count(EPS5, DELTA5, N5)
     assert m == 1866
     assert sk.derive_sketch_size(EPS5) == ELL5
@@ -178,7 +178,7 @@ def skpca_runs():
         f = sk.train(config, data).gram_factor(data)
         checks = {}
         for k, tail in tails.items():
-            spectral_err, _, rank_k = evaluation._score_factor(g, tail, f, k)
+            spectral_err, _, rank_k = evaluation._score_factor(g, f, k)
             spectral = spectral_err * N5
             checks[k] = (rank_k * N5**2, tail + spectral * math.sqrt(k))
         runs.append({"seed": seed, "spectral": spectral, "checks": checks})

@@ -387,6 +387,17 @@ class TestBenchmark:
             assert np.isfinite(float(row["spectral_err"]))
             assert np.isfinite(float(row["train_seconds"]))
 
+    def test_coarse_cell_scores_without_a_bound_check(self, tmp_path):
+        # on this cell the rank-1 error exceeds the right-hand side of
+        # criterion 6's inequality (258.6 > 214.1); the grid reports it
+        data = tmp_path / "data.csv"
+        run("gen-data", "--output", data, "--n", 500, "--d", 20, "--s", 10, "--seed", 1)
+        report = tmp_path / "report.csv"
+        assert run("benchmark", "--input", data, "--output", report, "--method", "rnca",
+                   "--m", 2, "--k", 1, "--sigma", 3.5) == 0
+        [row] = read_reports_csv(report)
+        assert np.isfinite(float(row["rank_k_frobenius"]))
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_cut_off_report_leaves_no_output(self, existing, data_csv, tmp_path):
         # the report write runs out of room part way through, as on a full disk
