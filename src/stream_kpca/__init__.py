@@ -21,7 +21,7 @@ from .evaluation import (
     write_reports_csv,
 )
 from .fd import FdSketch
-from .kernels import KernelSpec, cross_gram, eval_kernel, gram
+from .kernels import KernelSpec, cross_gram, gram
 from .numerics import (
     spectral_norm,
     sym_eig,
@@ -60,7 +60,6 @@ __all__ = [
     "cross_gram",
     "derive_feature_count",
     "derive_sketch_size",
-    "eval_kernel",
     "frobenius_error",
     "gen_random_noisy",
     "gram",

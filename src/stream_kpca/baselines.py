@@ -13,7 +13,9 @@ The Nystrom baseline keeps c independent single-slot reservoir samplers
 (slot i replaces its content at stream step t with probability 1/t, so
 every slot holds a uniform sample of the stream, with-replacement across
 slots). Reconstruction is C @ pinv(W_k) @ C.T from the kernel matrix W of
-the sampled points, formed through the model's (n, k) gram factor.
+the sampled points, formed through the model's (n, k) gram factor. Both
+bases are square, so at the default full rank a point's residual costs no
+product past its loading's (`ProjectionModel._residual`).
 """
 
 from __future__ import annotations
@@ -245,13 +247,13 @@ class NystromModel(ProjectionModel):
         return super().answer(x, k)
 
     def test(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel row against the samples and rank-k loading, no residual; O(cd + ck)."""
+        """Kernel row against the samples and rank-k loading (one c x k product), no residual."""
         c_row = self.lift(x)
         return c_row, self._loading(self._coords(c_row, self.k))
 
     def residual(self, c_row: np.ndarray) -> float:
-        """Norm of the kernel row outside the rank-k eigenspace of W."""
-        return self._residual(c_row, self._coords(c_row, self.k))
+        """Norm of the kernel row outside W's rank-k eigenspace; no product at k = c."""
+        return self._residual(c_row, self.k)
 
     @property
     def basis(self) -> np.ndarray:

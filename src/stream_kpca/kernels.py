@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConfigurationError, ContractViolationError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix
 
 KERNEL_FAMILIES = ("gaussian",)
 
@@ -34,18 +34,6 @@ class KernelSpec:
             )
         if not (0 < self.sigma < math.inf):  # also refuses nan
             raise ConfigurationError(f"kernel bandwidth must be finite and > 0, got {self.sigma}")
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate K(x, y) for a single pair of points."""
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.size != yv.size:
-        raise ContractViolationError(
-            f"dimension mismatch: x has {xv.size} entries, y has {yv.size}"
-        )
-    diff = xv - yv
-    return float(np.exp(-float(diff @ diff) / (2.0 * spec.sigma**2)))
 
 
 def gram(spec: KernelSpec, a) -> np.ndarray:

@@ -115,12 +115,13 @@ class ProjectionModel:
 
         Returns (lifted, loading, residual): the lift, its k loading
         coordinates, and the norm of the part of the lift outside the
-        k-dimensional subspace. Costs one lift plus O(mk) for an m-entry lift.
+        k-dimensional subspace. Costs one lift, O(mk) for the loading and
+        O(m min(k, r - k)) for the residual (O(mk) if the basis is not square).
         """
         check_rank(k, self.basis.shape[1])
         lifted = self.lift(x)
         p = self._coords(lifted, k)
-        return lifted, self._loading(p), self._residual(lifted, p)
+        return lifted, self._loading(p), self._residual(lifted, k, p)
 
     def _coords(self, lifted: np.ndarray, k: int) -> np.ndarray:
         """p = B_k^T lift, the lift's coordinates on the first k basis directions."""
@@ -130,8 +131,16 @@ class ProjectionModel:
         scale = self.loading_scale
         return p if scale is None else scale[: p.size] * p
 
-    def _residual(self, lifted: np.ndarray, p: np.ndarray) -> float:
-        return float(np.linalg.norm(lifted - self.basis[:, : p.size] @ p))
+    def _residual(self, lifted: np.ndarray, k: int, p: np.ndarray | None = None) -> float:
+        """||(I - B_k B_k^T) lift||: for a square basis (B B^T = I) past r/2, the
+        norm of the lift's coordinates past k; else the lift minus B_k p, p
+        computed if not given. sqrt(||lift||^2 - ||p||^2) would cancel."""
+        basis = self.basis
+        m, r = basis.shape
+        if m == r and 2 * k > r:
+            return float(np.linalg.norm(basis[:, k:].T @ lifted))
+        p = self._coords(lifted, k) if p is None else p
+        return float(np.linalg.norm(lifted - basis[:, :k] @ p))
 
     def gram_factor(self, a, k: int | None = None) -> np.ndarray:
         """The (n, k) factor F of the rank-k reconstructed gram F F^T, one

@@ -7,7 +7,8 @@ import errno
 import numpy as np
 import pytest
 
-from stream_kpca import dataio, sym_eig
+from stream_kpca import ContractViolationError, dataio, sym_eig
+from stream_kpca.numerics import as_vector
 
 
 def gaussian_mixture(
@@ -23,6 +24,18 @@ def gaussian_mixture(
     centers = rng.normal(0.0, center_scale, (n_clusters, d))
     idx = rng.integers(0, n_clusters, n)
     return centers[idx] + rng.normal(0.0, noise, (n, d))
+
+
+def eval_kernel(spec, x, y) -> float:
+    """The pointwise reference K(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for one pair."""
+    xv = as_vector(x, "x")
+    yv = as_vector(y, "y")
+    if xv.size != yv.size:
+        raise ContractViolationError(
+            f"dimension mismatch: x has {xv.size} entries, y has {yv.size}"
+        )
+    diff = xv - yv
+    return float(np.exp(-float(diff @ diff) / (2.0 * spec.sigma**2)))
 
 
 def exact_phi(g: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import dense_wk_pinv, gaussian_mixture
+from conftest import dense_wk_pinv, eval_kernel, gaussian_mixture
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from stream_kpca import (
     SkpcaConfig,
     baselines,
     cross_gram,
-    eval_kernel,
     gram,
     nystrom_space_entries,
     reservoir_sample,

@@ -243,33 +243,25 @@ class TestGramFactor:
 
 
 class TestOracleSpectrumOnce:
-    def test_one_eigensolve_per_run(self, monkeypatch):
+    """The grid never eigensolves the oracle, and its error columns do not depend on jobs."""
+
+    @pytest.mark.parametrize("k", [3, None])
+    def test_no_oracle_eigensolve(self, monkeypatch, k):
         # the rank-k error needs only each cell's factor: the oracle is never
-        # eigensolved, neither once per run nor per cell
-        calls = []
-        real = evaluation._rank_k_gap
+        # eigensolved, with or without k
+        def refuse(g, x, k):
+            raise AssertionError("the grid eigensolved a gram")
 
-        def counting(g, x, k):
-            calls.append(g.shape)
-            return real(g, x, k)
-
-        monkeypatch.setattr(evaluation, "_rank_k_gap", counting)
+        monkeypatch.setattr(evaluation, "_rank_k_gap", refuse)
         grid = [
             BenchmarkCell(method="skpca", m=24, ell=4),
             BenchmarkCell(method="rnca", m=16),
             BenchmarkCell(method="nystrom", c=8),
         ]
         data = gaussian_mixture(60, 3, seed=11)
-        run_benchmark(grid, data, data[:5], k=3, kernel=SPEC, seed=0, timing_reps=1, jobs=2)
-        assert calls == []
-
-    def test_no_eigensolve_without_k(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_rank_k_gap", None)
-        data = gaussian_mixture(30, 3, seed=12)
-        [report] = run_benchmark(
-            [BenchmarkCell(method="rnca", m=8)], data, data[:5], kernel=SPEC, timing_reps=1
-        )
-        assert report.rank_k_frobenius is None
+        reports = run_benchmark(grid, data, data[:5], k=k, kernel=SPEC, seed=0, timing_reps=1,
+                                jobs=2)
+        assert [r.rank_k_frobenius is None for r in reports] == [k is None] * 3
 
     def test_error_columns_identical_across_jobs(self):
         grid = [

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import eval_kernel
 
 from stream_kpca import (
     ConfigurationError,
     ContractViolationError,
     KernelSpec,
     cross_gram,
-    eval_kernel,
     gram,
     sym_eig,
 )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import exact_phi, gaussian_mixture
+from conftest import eval_kernel, exact_phi, gaussian_mixture
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from stream_kpca import (
     NystromModel,
     SkpcaConfig,
     cross_gram,
-    eval_kernel,
     gram,
     rnca_train,
     sample_feature_map,
@@ -195,12 +194,19 @@ class TestFeatureMapModel:
         scale = np.ones(width) if model.loading_scale is None else model.loading_scale
         assert model.basis is basis
         assert model.ranks == (range(width, width + 1) if method == "nystrom" else range(1, width + 1))
-        for k in (1, width):
+        # width // 2 + 1 is the first k at which a square basis takes the
+        # coordinates past k instead of subtracting the reconstruction
+        for k in (1, width // 2 + 1, width):
             lifted, loading, residual = model.project_test(data[0], k)
             assert np.array_equal(lifted, lift(data[0]))
             coords = basis[:, :k].T @ lifted
             assert np.array_equal(loading, scale[:k] * coords)
-            assert residual == float(np.linalg.norm(lifted - basis[:, :k] @ coords))
+            subtracted = float(np.linalg.norm(lifted - basis[:, :k] @ coords))
+            if basis.shape[0] == width and 2 * k > width:
+                assert residual == float(np.linalg.norm(basis[:, k:].T @ lifted))
+            else:
+                assert residual == subtracted
+            assert abs(residual - subtracted) <= 1e-13 * np.linalg.norm(lifted)
             if k in model.ranks:
                 assert np.array_equal(model.answer(data[0], k)[0], loading)
             factor = model.gram_factor(data, k)
@@ -209,6 +215,33 @@ class TestFeatureMapModel:
             assert np.allclose(factor, want, rtol=0, atol=1e-13)
         assert np.array_equal(model.gram_factor(data), model.gram_factor(data, width))
         assert np.array_equal(model.reconstruct(data, 2), factor_gram(model.gram_factor(data, 2)))
+
+    @pytest.mark.parametrize("method", ["rnca", "nystrom"])
+    def test_full_rank_residual_is_zero(self, method):
+        data, models = _projection_models()
+        model, basis, _ = models[method]
+        for x in data[:20]:
+            assert model.answer(x, basis.shape[1])[1] == 0.0
+
+    def test_nystrom_residual_at_full_rank_needs_no_coordinates(self, monkeypatch):
+        data, models = _projection_models()
+        nystrom = models["nystrom"][0]
+        c_row, _ = nystrom.test(data[2])
+
+        def refuse(*args):
+            raise AssertionError("the residual at k = c needs no coordinates")
+
+        monkeypatch.setattr(NystromModel, "_coords", refuse)
+        assert nystrom.residual(c_row) == 0.0
+
+    def test_residual_does_not_increase_with_k(self):
+        data, models = _projection_models()
+        rnca = models["rnca"][0]
+        for x in data[:5]:
+            lifted = rnca.lift(x)
+            residuals = [rnca.project_test(x, k)[2] for k in rnca.ranks]
+            slack = 1e-13 * np.linalg.norm(lifted)
+            assert all(b <= a + slack for a, b in zip(residuals, residuals[1:]))
 
     def test_named_entry_points(self):
         data, models = _projection_models()
