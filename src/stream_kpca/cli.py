@@ -67,11 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0, help="master RNG seed")
     t.add_argument("--header", action="store_true", help="input has a header row")
     t.add_argument("--drop-first-col", action="store_true", help="skip a leading label column")
-    t.add_argument(
-        "--center",
-        action="store_true",
-        help="subtract the column means (costs an extra pass over the input)",
-    )
 
     s = sub.add_parser("test", help="project test points through a model", formatter_class=fmt)
     s.add_argument("--model", required=True, help="model file from train")
@@ -103,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("--header", action="store_true", help="input has a header row")
     b.add_argument("--drop-first-col", action="store_true", help="skip a leading label column")
-    b.add_argument("--center", action="store_true", help="subtract column means before the run")
     return parser
 
 
@@ -125,17 +119,6 @@ def _input_rows(args):
     return iter_csv_rows(args.input, drop_first_col=args.drop_first_col, header=args.header)
 
 
-def _mean_pass(args) -> tuple[np.ndarray, int]:
-    total = None
-    count = 0
-    for row in _input_rows(args):
-        total = row.copy() if total is None else total + row
-        count += 1
-    if count == 0:
-        raise ContractViolationError(f"{args.input}: no data rows")
-    return total / count, count
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigurationError(message)
@@ -149,27 +132,20 @@ def cmd_train(args) -> int:
             _require(getattr(args, name) is None, f"--{name} does not apply to {args.method}")
     given = {name: getattr(args, name) for name in model_cls.sizes}
     # every size and the seed are checked before the input is read, but sizes derived from
-    # (eps, delta) depend on n, so they are settled after the mean or a counting pass
+    # (eps, delta) depend on n, so they are settled after a counting pass
     derive = eps_delta_given(args.eps, args.delta)
     sizes = None if derive else model_cls.resolve(given)
     seed = substream_seed(args.seed, model_cls.seed_stream)
 
-    center = n = None
-    if args.center:
-        center, n = _mean_pass(args)
-    elif derive:
+    if derive:
         n = count_csv_rows(args.input, header=args.header)
         _require(n > 0, f"{args.input}: no data rows")
-    if derive:
         sizes = model_cls.resolve(given, args.eps, args.delta, n)
 
-    rows = _input_rows(args)
-    if center is not None:
-        rows = (row - center for row in rows)
     start = time.perf_counter()
-    model = model_cls.fit(kernel, seed, rows, **sizes)
+    model = model_cls.fit(kernel, seed, _input_rows(args), **sizes)
     elapsed = time.perf_counter() - start
-    save_model(model, args.output, center=center)
+    save_model(model, args.output)
     shown = " ".join(f"{name}={value}" for name, value in sizes.items())
     print(
         f"trained method={args.method} n={model.n_seen} d={model.d} {shown} "
@@ -179,7 +155,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_test(args) -> int:
-    model, center = load_model(args.model)
+    model, _ = load_model(args.model)
     k = model.ranks[-1] if args.k is None else args.k
     # a k outside the model's ranks is refused by answer() before any write,
     # so it gets no template (one for a huge --k would not fit in memory)
@@ -194,7 +170,7 @@ def cmd_test(args) -> int:
                     f"{args.input}: row {count - 1} has dimension {row.size}, "
                     f"model expects {model.d}"
                 )
-            loading, residual = model.answer(row if center is None else row - center, k)
+            loading, residual = model.answer(row, k)
             elapsed += time.perf_counter() - start
             fh.write(template % (*loading.tolist(), residual))
             start = time.perf_counter()
@@ -242,8 +218,6 @@ def cmd_benchmark(args) -> int:
 
     rng = np.random.default_rng(substream_seed(args.seed, "test_split"))
     data = read_matrix_csv(args.input, drop_first_col=args.drop_first_col, header=args.header)
-    if args.center:
-        data = data - data.mean(axis=0)
     n = data.shape[0]
     _require(n >= 2, "benchmark needs at least 2 rows")
     test_size = min(1000, max(1, n // 5))

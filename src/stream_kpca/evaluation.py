@@ -19,7 +19,6 @@ overrides the guard.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import time
@@ -194,11 +193,6 @@ def write_reports_csv(reports: Sequence[ErrorReport], path) -> None:
         lines.append(",".join(_fmt(getattr(rep, col)) for col in REPORT_COLUMNS))
     with atomic_text(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_reports_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 def _median_time(fn: Callable[[], object], reps: int) -> tuple[float, object]:

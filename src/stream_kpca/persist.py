@@ -1,7 +1,7 @@
 """Versioned flat-file model persistence.
 
 A model serializes to a single JSON record: an envelope (format, version,
-method, kernel, seed, d, n_seen, peak_entries, center) plus the fields its
+method, kernel, seed, d, n_seen, peak_entries) plus the fields its
 class writes with `record_fields` and reads back with `from_record`.
 Feature maps are regenerated from their recorded (family, sigma, m, d,
 seed) rather than storing the frequency matrix, so the persisted size stays
@@ -9,8 +9,8 @@ O(1) in m*d while the logical object keeps its full space accounting; the
 record keeps a SHA-256 of the map's (r, gamma) bytes, and a load that draws
 a different map fails.
 
-Every float array in a record (SKPCA's w and s, RNCA's cov, Nystrom's
-samples and the envelope's center) goes through one codec:
+Every float array in a record (SKPCA's w and s, RNCA's cov and Nystrom's
+samples) goes through one codec:
 {"shape": [...], "f8le": base64 of its little-endian float64 C-order bytes}.
 Raw bytes keep every value bit for bit and let the m x m RNCA covariance
 encode and decode at memory speed, where decimal text took seconds and
@@ -33,10 +33,9 @@ from .dataio import atomic_text
 from .errors import ContractViolationError
 from .kernels import KernelSpec
 from .methods import MODELS
-from .numerics import check_shape
 
 MODEL_FORMAT = "stream-kpca-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 # integer fields of the envelope and of the class records; a Nystrom model
 # built from given samples has no seed, so "seed" may also be null
@@ -73,7 +72,7 @@ def decode_array(value: dict, name: str) -> np.ndarray:
     return arr
 
 
-def save_model(model, path, center=None) -> None:
+def save_model(model, path) -> None:
     record = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -84,7 +83,6 @@ def save_model(model, path, center=None) -> None:
         "d": model.d,
         "n_seen": model.n_seen,
         "peak_entries": model.peak_entries,
-        "center": None if center is None else np.asarray(center, dtype=np.float64),
         **model.record_fields(),
     }
     record = {
@@ -96,7 +94,10 @@ def save_model(model, path, center=None) -> None:
 
 
 def load_model(path):
-    """Load a persisted model; returns (model, center-or-None).
+    """Load a persisted model; returns (model, None).
+
+    The None is a placeholder kept so that callers unpacking a pair still
+    work: perfbench's loader and tracer read `load_model(...)[0]`.
 
     Any malformed record, an integer field that is not a JSON integer among
     them, raises ContractViolationError naming the path.
@@ -123,11 +124,7 @@ def load_model(path):
             for key, value in record.items()
         }
         kernel = KernelSpec(family=record["family"], sigma=record["sigma"])
-        model = MODELS[record["method"]].from_record(kernel, record)
-        center = record["center"]
-        if center is not None:
-            check_shape(center, (model.d,), "center")
-        return model, center
+        return MODELS[record["method"]].from_record(kernel, record), None
     except ContractViolationError as exc:
         raise ContractViolationError(f"{path}: {exc}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

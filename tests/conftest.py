@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import errno
 
 import numpy as np
 import pytest
 
-from stream_kpca import ContractViolationError, dataio, sym_eig
+from stream_kpca import ContractViolationError, SyntheticSpec, dataio, gen_random_noisy, sym_eig
 from stream_kpca.numerics import as_vector
 
 
@@ -60,11 +61,23 @@ def dense_wk_pinv(w: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.pinv(wk, rcond=w.shape[0] * np.finfo(np.float64).eps, hermitian=True)
 
 
+def read_reports_csv(path) -> list[dict]:
+    """The rows of a benchmark report CSV, one dict of strings per row."""
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def reference_csv(rows, header: bool = False) -> str:
     """CSV text formatted one value at a time, the way `dataio` once wrote it."""
     lines = [",".join(f"c{j}" for j in range(len(rows[0])))] if header else []
     lines += [",".join(format(v, ".17g") for v in row) for row in rows]
     return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="session")
+def shift_data() -> np.ndarray:
+    """The points the shift-invariance tests offset by a constant per column."""
+    return gen_random_noisy(SyntheticSpec(n=1500, d=20, s=10, seed=7))
 
 
 @pytest.fixture

@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import eval_kernel, gaussian_mixture
+from conftest import eval_kernel, gaussian_mixture, read_reports_csv
 
 import stream_kpca as sk
 from stream_kpca import evaluation
 from stream_kpca.cli import main as cli_main
-from stream_kpca.evaluation import TIMING_COLUMNS, read_reports_csv
+from stream_kpca.evaluation import TIMING_COLUMNS
 
 SIGMA = 3.0  # bandwidth for the mixture data sets (recorded here, fixed)
 

@@ -254,6 +254,24 @@ class TestNystrom:
         assert model.peak_entries <= 3 * nystrom_space_entries(c, d)
 
 
+class TestNystromShiftInvariance:
+    """The reservoir picks rows without looking at them, and the kernel sees only
+    differences, so a model fit on shifted points holds the shifted samples and
+    answers each shifted point as the unshifted model answers the point."""
+
+    @pytest.mark.parametrize("k", [10, 256])
+    @pytest.mark.parametrize("mu", [1.0, 100.0])
+    def test_shifted_fit_answers_as_the_unshifted(self, shift_data, mu, k):
+        spec = KernelSpec(sigma=3.5)
+        model = NystromModel.fit(spec, 5, shift_data, c=256, k=k)
+        moved = NystromModel.fit(spec, 5, shift_data + mu, c=256, k=k)
+        assert np.array_equal(moved.samples, model.samples + mu)
+        for x in shift_data[::15]:
+            (a_load, a_res), (b_load, b_res) = model.answer(x, k), moved.answer(x + mu, k)
+            assert np.max(np.abs(b_load - a_load)) <= 1e-11
+            assert abs(b_res - a_res) <= 1e-11
+
+
 SIZES = {"skpca": {"m": 24, "ell": 6}, "rnca": {"m": 20}, "nystrom": {"c": 10, "k": 4}}
 
 

@@ -8,13 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_csv
+from conftest import read_reports_csv, reference_csv
 
 import stream_kpca
 from stream_kpca import cli
 from stream_kpca.cli import main
 from stream_kpca.dataio import CHUNK_LINES, read_matrix_csv
-from stream_kpca.evaluation import read_reports_csv
 from stream_kpca.persist import decode_array, encode_array, load_model
 
 
@@ -171,7 +170,6 @@ class TestTrain:
         assert err.startswith("error: ConfigurationError:") and f"{flag} " in err
         assert not model.exists()
 
-    @pytest.mark.parametrize("center", [(), ("--center",)])
     @pytest.mark.parametrize(
         "flags",
         [
@@ -185,9 +183,9 @@ class TestTrain:
             ("--m", "64", "--ell", "8", "--seed", "-1"),
         ],
     )
-    def test_arguments_checked_before_the_input_is_read(self, flags, center, tmp_path, capsys):
+    def test_arguments_checked_before_the_input_is_read(self, flags, tmp_path, capsys):
         model = tmp_path / "m.json"
-        rc = run("train", "--input", tmp_path / "missing.csv", "--output", model, *flags, *center)
+        rc = run("train", "--input", tmp_path / "missing.csv", "--output", model, *flags)
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ConfigurationError:")
         assert not model.exists()
@@ -203,14 +201,6 @@ class TestTrain:
         assert done.returncode == 1 and "File too large" in done.stderr, done.stderr
         assert model.read_bytes() == earlier
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "rnca.json"]
-
-    def test_center_flag_stores_mean(self, data_csv, tmp_path):
-        model = tmp_path / "c.json"
-        assert run("train", "--input", data_csv, "--output", model, "--method", "skpca",
-                   "--m", 16, "--ell", 4, "--center") == 0
-        record = json.loads(model.read_text())
-        data = read_matrix_csv(data_csv)
-        assert np.allclose(decode_array(record["center"], "center"), data.mean(axis=0))
 
 
 class TestTest:
@@ -351,6 +341,7 @@ MALFORMED = {
     },
     "version-2": _version_2,
     "version-3": lambda record: {**record, "version": 3},
+    "version-4": lambda record: {**record, "center": None, "version": 4},
     "sigma-infinity": lambda record: {**record, "sigma": float("inf")},
     "ell-not-an-integer": lambda record: {**record, "ell": 4.0},
     "n_seen-not-an-integer": lambda record: {**record, "n_seen": "many"},

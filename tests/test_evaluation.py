@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import exact_phi, gaussian_mixture
+from conftest import exact_phi, gaussian_mixture, read_reports_csv
 
 from stream_kpca import (
     BenchmarkCell,
@@ -19,7 +19,7 @@ from stream_kpca import (
     train,
     write_reports_csv,
 )
-from stream_kpca.evaluation import ORACLE_MAX_N_ENV, read_reports_csv
+from stream_kpca.evaluation import ORACLE_MAX_N_ENV
 from stream_kpca.synthetic import signal_diagonal
 
 

@@ -32,7 +32,7 @@ from stream_kpca.dataio import (
     write_matrix_csv,
 )
 from stream_kpca.methods import METHODS, MODELS
-from stream_kpca.persist import decode_array, encode_array
+from stream_kpca.persist import MODEL_VERSION, decode_array, encode_array
 
 
 class TestCsv:
@@ -324,8 +324,8 @@ class TestPersistence:
         data = gaussian_mixture(30, 3, seed=3)
         model = MODELS[method].fit(spec, 4, data, **SIZES[method])
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_model(model, p1, center=data.mean(axis=0))
-        save_model(model, p2, center=data.mean(axis=0))
+        save_model(model, p1)
+        save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rnca_file_byte_identical_across_blas_threads(self, tmp_path):
@@ -361,14 +361,12 @@ class TestPersistence:
             loaded.reconstruct(data[:8], k=16), model.reconstruct(data[:8], k=16), atol=1e-12
         )
 
-    def test_nystrom_round_trip_with_center(self, spec, tmp_path):
+    def test_nystrom_round_trip(self, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=7)
         model = NystromModel.fit(spec, 8, data, c=6, k=4)
-        center = data.mean(axis=0)
         path = tmp_path / "model.json"
-        save_model(model, path, center=center)
-        loaded, loaded_center = load_model(path)
-        assert np.allclose(loaded_center, center, atol=0)
+        save_model(model, path)
+        loaded, _ = load_model(path)
         assert np.allclose(loaded.reconstruct(data[:5]), model.reconstruct(data[:5]), atol=1e-12)
         assert loaded.k == 4
 
@@ -376,23 +374,21 @@ class TestPersistence:
     def test_every_array_round_trips_bit_for_bit(self, method, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=14)
         model = MODELS[method].fit(spec, 15, data, **SIZES[method])
-        center = SPECIAL[[1, 2, 5]]  # -0.0, a subnormal, 1e308
         path = tmp_path / "model.json"
-        save_model(model, path, center=center)
-        loaded, loaded_center = load_model(path)
-        assert loaded_center.tobytes() == center.tobytes()
+        save_model(model, path)
+        loaded, _ = load_model(path)
         for name in ARRAY_FIELDS[method]:
             assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "method,field",
-        [(m, f) for m in METHODS for f in ("center", *ARRAY_FIELDS[m])],
+        [(m, f) for m in METHODS for f in ARRAY_FIELDS[m]],
     )
     def test_non_finite_array_refused(self, method, field, bad, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=16)
         path = tmp_path / "model.json"
-        save_model(MODELS[method].fit(spec, 17, data, **SIZES[method]), path, center=data[0])
+        save_model(MODELS[method].fit(spec, 17, data, **SIZES[method]), path)
         record = json.loads(path.read_text())
         values = decode_array(record[field], field)
         values.flat[-1] = bad
@@ -474,7 +470,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(MODELS[method].fit(spec, 13, data, **sizes), path)
         record = json.loads(path.read_text())
-        assert record["version"] == 4 and len(record["rff_sha256"]) == 64
+        assert record["version"] == MODEL_VERSION and len(record["rff_sha256"]) == 64
         record["seed"] += 1
         path.write_text(json.dumps(record))
         with pytest.raises(ContractViolationError, match="checksum") as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from stream_kpca import (
     KernelSpec,
     cross_gram,
     gram,
+    sample_feature_map,
     sym_eig,
 )
 from stream_kpca.evaluation import _rank_k_gap
@@ -116,3 +118,23 @@ class TestBestRankK:
         for bad in (0, 4):
             with pytest.raises(ContractViolationError):
                 _rank_k_gap(g, g, bad)
+
+
+class TestShiftInvariance:
+    """K(x, y) = k(x - y), so shifting every point by one offset changes no gram
+    entry; in the lift the shift moves only the phases, to gamma - r . mu."""
+
+    @pytest.mark.parametrize("mu", [1.0, 100.0])
+    def test_gram_unchanged_by_a_shift(self, shift_data, mu):
+        spec = KernelSpec(sigma=3.5)
+        assert np.max(np.abs(gram(spec, shift_data + mu) - gram(spec, shift_data))) <= 1e-13
+
+    @pytest.mark.parametrize("mu", [1.0, 100.0])
+    def test_shifted_points_lift_as_shifted_phases(self, shift_data, mu):
+        fm = sample_feature_map(KernelSpec(sigma=3.5), m=256, d=20, seed=3)
+        offset = np.full(20, mu)
+        moved = dataclasses.replace(fm, gamma=fm.gamma - fm.r @ offset)
+        # twice the per-coordinate bound the rff docstring gives each lift
+        bound = 2 * 3e-7 * math.sqrt(2 / fm.m)
+        gap = fm.apply_batch(shift_data - offset) - moved.apply_batch(shift_data)
+        assert np.max(np.abs(gap)) <= bound
