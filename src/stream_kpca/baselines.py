@@ -15,7 +15,7 @@ every slot holds a uniform sample of the stream, with-replacement across
 slots). Reconstruction is C @ pinv(W_k) @ C.T from the kernel matrix W of
 the sampled points, formed through the model's (n, k) gram factor. Both
 bases are square, so at the default full rank a point's residual costs no
-product past its loading's (`ProjectionModel._residual`).
+product past its loading's (`ProjectionModel._residuals`).
 """
 
 from __future__ import annotations
@@ -241,19 +241,14 @@ class NystromModel(ProjectionModel):
             peak_entries=nystrom_space_entries(c, pts.shape[1]) + (c * c + c),
         )
 
-    def answer(self, x, k: int) -> tuple[np.ndarray, float]:
-        if k != self.k:
-            raise ConfigurationError(f"nystrom rank is fixed at train time (k={self.k})")
-        return super().answer(x, k)
-
     def test(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel row against the samples and rank-k loading (one c x k product), no residual."""
+        """Kernel row and rank-k loading from `_project`: one c x k product, no more at k = c."""
         c_row = self.lift(x)
-        return c_row, self._loading(self._coords(c_row, self.k))
+        return c_row, self._project(c_row, self.k)[0]
 
     def residual(self, c_row: np.ndarray) -> float:
         """Norm of the kernel row outside W's rank-k eigenspace; no product at k = c."""
-        return self._residual(c_row, self.k)
+        return self._residuals(c_row, self.k)
 
     @property
     def basis(self) -> np.ndarray:

@@ -18,15 +18,16 @@ from . import evaluation
 from .dataio import (
     atomic_text,
     count_csv_rows,
+    format_rows,
     iter_csv_rows,
     read_matrix_csv,
-    row_template,
     write_matrix_csv,
 )
 from .errors import ConfigurationError, ContractViolationError, NumericalFailureError
 from .kernels import KernelSpec
 from .methods import METHODS, MODELS
 from .persist import load_model, save_model
+from .rff import LIFT_CHUNK
 from .seeds import substream_seed
 from .skpca import eps_delta_given
 from .synthetic import SyntheticSpec, gen_random_noisy
@@ -157,22 +158,23 @@ def cmd_train(args) -> int:
 def cmd_test(args) -> int:
     model, _ = load_model(args.model)
     k = model.ranks[-1] if args.k is None else args.k
-    # a k outside the model's ranks is refused by answer() before any write,
-    # so it gets no template (one for a huge --k would not fit in memory)
-    template = row_template(k + 1) if k in model.ranks else ""
-    # each row is written as it is answered; the timer covers reading and answering
+    # LIFT_CHUNK rows at a time are read, answered (transform() refuses a bad k
+    # before anything of size k exists) and written; the timer skips the writes
+    rows = _input_rows(args)
     with atomic_text(args.output) as fh:
         count, elapsed = 0, 0.0
         start = time.perf_counter()
-        for count, row in enumerate(_input_rows(args), 1):
-            if row.size != model.d:
+        while block := list(itertools.islice(rows, LIFT_CHUNK)):
+            arr = np.vstack(block)
+            if arr.shape[1] != model.d:  # one width per file, so row `count` is the first
                 raise ContractViolationError(
-                    f"{args.input}: row {count - 1} has dimension {row.size}, "
+                    f"{args.input}: row {count} has dimension {arr.shape[1]}, "
                     f"model expects {model.d}"
                 )
-            loading, residual = model.answer(row, k)
+            loadings, residuals = model.transform(arr, k)
+            count += arr.shape[0]
             elapsed += time.perf_counter() - start
-            fh.write(template % (*loading.tolist(), residual))
+            fh.write(format_rows(np.column_stack([loadings, residuals])))
             start = time.perf_counter()
         elapsed += time.perf_counter() - start
         if not count:

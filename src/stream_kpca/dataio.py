@@ -112,15 +112,11 @@ def atomic_text(path) -> Iterator[TextIO]:
         raise
 
 
-def row_template(width: int) -> str:
-    """A `%` template for one CSV line of `width` 17-significant-digit fields."""
-    return ",".join([f"%.{SIG_DIGITS}g"] * width) + "\n"
-
-
 def format_rows(a: np.ndarray) -> str:
-    """Format a 2-D float block as CSV lines, one per row, in one `%` operation."""
+    """Format a 2-D float block as CSV lines of `%.17g` fields in one `%` operation."""
     rows, width = a.shape
-    return (row_template(width) * rows) % tuple(a.ravel().tolist())
+    line = ",".join([f"%.{SIG_DIGITS}g"] * width) + "\n"
+    return (line * rows) % tuple(a.ravel().tolist())
 
 
 def write_matrix_csv(path, a, header: bool = False) -> None:

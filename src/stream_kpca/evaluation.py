@@ -97,7 +97,7 @@ def _score_factor(
 ) -> tuple[float, float, float | None]:
     """(spectral, Frobenius, rank-k Frobenius) errors of G' = F F^T, normalized.
 
-    G is symmetric by construction and F F^T is symmetrized, so the
+    G and F F^T are exactly symmetric by construction, so the
     difference is scored without the dense API's symmetry scans. The
     rank-k error ||G - G'_k||_F / n^2 is scored when k is given: G'_k =
     U_k S_k^2 U_k^T from the thin SVD F = U S V^T, with k capped at the

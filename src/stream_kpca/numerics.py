@@ -153,10 +153,12 @@ def _lanczos(sym: np.ndarray, k: int, which: str, return_eigenvectors: bool = Tr
 
 
 def factor_gram(f) -> np.ndarray:
-    """F F^T for an (n, r) factor, symmetrized so the result is exactly symmetric."""
+    """F F^T for an (n, r) factor. numpy forms `A @ A.T` of a factor whose
+    rows or columns are unit-stride with one symmetric BLAS update and copies
+    its triangle across, so the result is exactly symmetric, as the Lanczos
+    iteration needs; the factors here are fresh C-ordered arrays."""
     arr = as_matrix(f, "gram factor")
-    g = arr @ arr.T
-    return (g + g.T) / 2.0
+    return arr @ arr.T
 
 
 def spectral_norm(a) -> float:

@@ -72,8 +72,9 @@ def decode_array(value: dict, name: str) -> np.ndarray:
     return arr
 
 
-def save_model(model, path) -> None:
-    record = {
+def _record(model) -> dict:
+    """The fields a model file holds: the envelope plus the class's `record_fields`."""
+    return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "method": model.method,
@@ -85,9 +86,12 @@ def save_model(model, path) -> None:
         "peak_entries": model.peak_entries,
         **model.record_fields(),
     }
+
+
+def save_model(model, path) -> None:
     record = {
         key: encode_array(value) if isinstance(value, np.ndarray) else value
-        for key, value in record.items()
+        for key, value in _record(model).items()
     }
     with atomic_text(path) as fh:
         fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
@@ -99,8 +103,9 @@ def load_model(path):
     The None is a placeholder kept so that callers unpacking a pair still
     work: perfbench's loader and tracer read `load_model(...)[0]`.
 
-    Any malformed record, an integer field that is not a JSON integer among
-    them, raises ContractViolationError naming the path.
+    Any malformed record, an integer field that is not a JSON integer or a
+    field `save_model` does not write among them, raises
+    ContractViolationError naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -124,7 +129,11 @@ def load_model(path):
             for key, value in record.items()
         }
         kernel = KernelSpec(family=record["family"], sigma=record["sigma"])
-        return MODELS[record["method"]].from_record(kernel, record), None
+        model = MODELS[record["method"]].from_record(kernel, record)
+        unknown = sorted(set(record) - set(_record(model)))
+        if unknown:
+            raise ContractViolationError(f"unknown record fields {unknown}")
+        return model, None
     except ContractViolationError as exc:
         raise ContractViolationError(f"{path}: {exc}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -32,12 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ConfigurationError, ContractViolationError
 from .kernels import KernelSpec
 from .numerics import as_matrix, as_vector, check_rank, factor_gram
 
 TWO_PI = 2.0 * math.pi
-LIFT_CHUNK = 256  # rows `ProjectionModel.gram_factor` lifts at a time
+LIFT_CHUNK = 256  # rows `ProjectionModel.transform` lifts and projects at a time
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,10 @@ class FeatureMap:
 
 class ProjectionModel:
     """The projection all three models share (the model protocol is in
-    `stream_kpca.methods`): a point's lift projected onto the first k
-    columns of an orthonormal `basis`, scaled by `loading_scale` unless that
-    is None. A subclass supplies `lift(x)`, `lift_batch(a)`, `basis`,
-    `ranks` and `loading_scale`."""
+    `stream_kpca.methods`), one body for a point's lift and a block's: a lift
+    onto the first k columns of an orthonormal `basis`, scaled by
+    `loading_scale` unless None, at a k in `ranks`. A subclass supplies
+    `lift(x)`, `lift_batch(a)`, `basis`, `ranks` and `loading_scale`."""
 
     loading_scale: np.ndarray | None = None
 
@@ -111,52 +111,56 @@ class ProjectionModel:
         return loading, residual
 
     def project_test(self, x, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """Lift a point and project it onto the first k basis directions.
-
-        Returns (lifted, loading, residual): the lift, its k loading
-        coordinates, and the norm of the part of the lift outside the
-        k-dimensional subspace. Costs one lift, O(mk) for the loading and
-        O(m min(k, r - k)) for the residual (O(mk) if the basis is not square).
-        """
-        check_rank(k, self.basis.shape[1])
+        """Lift a point and project it onto the first k basis directions; returns
+        (lifted, loading, residual): the lift, its k loading coordinates and the
+        norm of the lift outside their span. Costs one lift, O(mk) for the loading
+        and O(m min(k, r - k)) for the residual (O(mk) if the basis is not square)."""
+        self._check_rank(k)
         lifted = self.lift(x)
-        p = self._coords(lifted, k)
-        return lifted, self._loading(p), self._residual(lifted, k, p)
+        return (lifted, *self._project(lifted, k))
 
-    def _coords(self, lifted: np.ndarray, k: int) -> np.ndarray:
-        """p = B_k^T lift, the lift's coordinates on the first k basis directions."""
-        return self.basis[:, :k].T @ lifted
+    def transform(self, a, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, k) loadings and (n,) residuals of the rows of `a` (k defaults to
+        `ranks[-1]`), `LIFT_CHUNK` rows at a time; row i is `answer(a[i], k)`
+        up to rounding, since a block's products sum in another order."""
+        k = self.ranks[-1] if k is None else k
+        self._check_rank(k)
+        arr = as_matrix(a, "data matrix")
+        loadings, residuals = np.empty((arr.shape[0], k)), np.empty(arr.shape[0])
+        for start in range(0, arr.shape[0], LIFT_CHUNK):
+            rows = slice(start, start + LIFT_CHUNK)
+            loadings[rows], residuals[rows] = self._project(self.lift_batch(arr[rows]), k)
+        return loadings, residuals
 
-    def _loading(self, p: np.ndarray) -> np.ndarray:
+    def _check_rank(self, k: int) -> None:
+        check_rank(k, self.basis.shape[1])
+        if k not in self.ranks:
+            low, high = self.ranks[0], self.ranks[-1]
+            raise ConfigurationError(f"{self.method} ranks are fixed at train time: k must be "
+                                     f"in [{low}, {high}], got {k}")
+
+    def _project(self, z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The loadings and residuals of a lift z, one point's (m,) or a
+        block's (b, m): p = z B_k, scaled by `loading_scale`, and `_residuals`."""
+        p = z @ self.basis[:, :k]
         scale = self.loading_scale
-        return p if scale is None else scale[: p.size] * p
+        return (p if scale is None else p * scale[:k]), self._residuals(z, k, p)
 
-    def _residual(self, lifted: np.ndarray, k: int, p: np.ndarray | None = None) -> float:
-        """||(I - B_k B_k^T) lift||: for a square basis (B B^T = I) past r/2, the
-        norm of the lift's coordinates past k; else the lift minus B_k p, p
-        computed if not given. sqrt(||lift||^2 - ||p||^2) would cancel."""
+    def _residuals(self, z: np.ndarray, k: int, p: np.ndarray | None = None) -> np.ndarray:
+        """||(I - B_k B_k^T) z|| along z's last axis: for a square basis (B B^T = I)
+        past r/2, the norm of z's coordinates past k (at k = r, of none); else of
+        z - p B_k^T, p = z B_k if not given. sqrt(||z||^2 - ||p||^2) would cancel."""
         basis = self.basis
         m, r = basis.shape
         if m == r and 2 * k > r:
-            return float(np.linalg.norm(basis[:, k:].T @ lifted))
-        p = self._coords(lifted, k) if p is None else p
-        return float(np.linalg.norm(lifted - basis[:, :k] @ p))
+            rest = z @ basis[:, k:]
+        else:  # (B_k p^T)^T = p B_k^T, the faster product for one point on a strided B_k
+            rest = z - (basis[:, :k] @ (z @ basis[:, :k] if p is None else p).T).T
+        return np.sqrt(np.einsum("...i,...i", rest, rest))  # faster than linalg.norm(axis=-1)
 
     def gram_factor(self, a, k: int | None = None) -> np.ndarray:
-        """The (n, k) factor F of the rank-k reconstructed gram F F^T, one
-        loading per row of `a`; k defaults to `ranks[-1]`. Lifts `LIFT_CHUNK`
-        rows at a time, so the whole lift of `a` never exists at once."""
-        k = self.ranks[-1] if k is None else k
-        check_rank(k, self.basis.shape[1])
-        basis = self.basis[:, :k]
-        if self.loading_scale is not None:
-            basis = basis * self.loading_scale[:k]
-        arr = as_matrix(a, "data matrix")
-        out = np.empty((arr.shape[0], k))
-        for start in range(0, arr.shape[0], LIFT_CHUNK):
-            stop = start + LIFT_CHUNK
-            out[start:stop] = self.lift_batch(arr[start:stop]) @ basis
-        return out
+        """The (n, k) factor F of the rank-k reconstructed gram F F^T: `transform`'s loadings."""
+        return self.transform(a, k)[0]
 
     def reconstruct(self, a, k: int | None = None) -> np.ndarray:
         """Evaluation-only gram reconstruction F F^T from `gram_factor`."""

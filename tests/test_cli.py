@@ -11,9 +11,8 @@ import pytest
 from conftest import read_reports_csv, reference_csv
 
 import stream_kpca
-from stream_kpca import cli
 from stream_kpca.cli import main
-from stream_kpca.dataio import CHUNK_LINES, read_matrix_csv
+from stream_kpca.dataio import CHUNK_LINES, format_rows, read_matrix_csv
 from stream_kpca.persist import decode_array, encode_array, load_model
 
 
@@ -260,15 +259,15 @@ class TestTest:
         assert err.startswith("error: ConfigurationError:") and "fixed at train time" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "model.json"]
 
-    def test_refused_k_gets_no_row_template(self, data_csv, tmp_path, capsys, monkeypatch):
+    def test_huge_k_refused_before_allocation(self, data_csv, tmp_path, capsys):
+        # loadings of width 10**9 would not fit in memory: a MemoryError here
+        # means something of size k was allocated before the rank check
         model = tmp_path / "model.json"
         run("train", "--input", data_csv, "--output", model, "--m", 16, "--ell", 4)
-        widths = []
-        monkeypatch.setattr(cli, "row_template", widths.append)  # a huge --k would not fit
         assert run("test", "--model", model, "--input", data_csv,
                    "--output", tmp_path / "load.csv", "--k", 10**9) == 1
         assert "k must be in [1, 4], got 1000000000" in capsys.readouterr().err
-        assert widths == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "model.json"]
 
     def test_memory_does_not_grow_with_the_input(self, data_csv, tmp_path):
         model = tmp_path / "model.json"
@@ -292,14 +291,21 @@ class TestTest:
         ("rnca", ["--m", 16]),
         ("nystrom", ["--c", 10, "--k", 3]),
     ])
-    def test_loadings_match_per_value_formatting(self, method, sizes, data_csv, tmp_path):
+    def test_loadings_match_per_value_formatting(self, method, sizes, tmp_path):
+        # 600 rows cross the 256-row block boundary of test and of transform
+        data_csv = tmp_path / "data.csv"
+        run("gen-data", "--output", data_csv, "--n", 600, "--d", 6, "--s", 3, "--seed", 5)
         model_path = tmp_path / "model.json"
         run("train", "--input", data_csv, "--output", model_path, "--method", method, *sizes)
         out_csv = tmp_path / "load.csv"
         assert run("test", "--model", model_path, "--input", data_csv, "--output", out_csv) == 0
         model, _ = load_model(model_path)
-        answers = [model.answer(row, model.ranks[-1]) for row in read_matrix_csv(data_csv)]
-        assert out_csv.read_text() == reference_csv([[*loading, res] for loading, res in answers])
+        data, k = read_matrix_csv(data_csv), model.ranks[-1]
+        loadings, residuals = model.transform(data, k)
+        rows = np.column_stack([loadings, residuals])
+        assert out_csv.read_text() == format_rows(rows) == reference_csv(rows.tolist())
+        answers = np.array([[*loading, res] for loading, res in map(model.answer, data, [k] * 600)])
+        assert np.all(np.abs(rows - answers) <= 1e-11 * np.maximum(1.0, np.abs(answers)))
 
     def test_nystrom_loadings(self, data_csv, tmp_path):
         model = tmp_path / "ny.json"
@@ -342,6 +348,8 @@ MALFORMED = {
     "version-2": _version_2,
     "version-3": lambda record: {**record, "version": 3},
     "version-4": lambda record: {**record, "center": None, "version": 4},
+    "center-in-version-5": lambda record: {**record, "center": None},
+    "unknown-field": lambda record: {**record, "bogus": 1},
     "sigma-infinity": lambda record: {**record, "sigma": float("inf")},
     "ell-not-an-integer": lambda record: {**record, "ell": 4.0},
     "n_seen-not-an-integer": lambda record: {**record, "n_seen": "many"},

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from stream_kpca import (
     BenchmarkCell,
+    ConfigurationError,
     ContractViolationError,
     KernelSpec,
     NystromModel,
@@ -217,14 +218,18 @@ class TestGramFactor:
     @pytest.mark.parametrize("method", ["skpca", "rnca", "nystrom"])
     def test_rank_k_factor_is_leading_columns(self, method):
         # a rank-k factor is the first k columns of the default factor; for
-        # nystrom it equals the factor of a rank-k model on the same samples
+        # nystrom, whose rank is fixed at train time, it is the factor of a
+        # rank-k model on the same samples
         data = gaussian_mixture(30, 3, seed=9)
         model = _model(method, data, 1)
         full = model.gram_factor(data)
-        assert np.allclose(model.gram_factor(data, k=2), full[:, :2], rtol=0, atol=1e-12)
         if method == "nystrom":
-            rank2 = NystromModel.from_samples(SPEC, model.samples, k=2)
-            assert np.allclose(rank2.gram_factor(data), full[:, :2], rtol=0, atol=1e-12)
+            with pytest.raises(ConfigurationError, match="fixed at train time"):
+                model.gram_factor(data, k=2)
+            rank2 = NystromModel.from_samples(SPEC, model.samples, k=2).gram_factor(data)
+        else:
+            rank2 = model.gram_factor(data, k=2)
+        assert np.allclose(rank2, full[:, :2], rtol=0, atol=1e-12)
         for bad in (0, model.ranks[-1] + 100):
             with pytest.raises(ContractViolationError, match="k must be in"):
                 model.gram_factor(data, k=bad)
@@ -242,7 +247,7 @@ class TestGramFactor:
             assert np.allclose(f[i], loading, rtol=0, atol=1e-12)
 
 
-class TestOracleSpectrumOnce:
+class TestGridOracle:
     """The grid never eigensolves the oracle, and its error columns do not depend on jobs."""
 
     @pytest.mark.parametrize("k", [3, None])

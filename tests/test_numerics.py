@@ -269,3 +269,23 @@ class TestSymSpectralNorm:
         monkeypatch.setattr(numerics, "eigsh", fail)
         with pytest.raises(NumericalFailureError):
             sym_spectral_norm(np.eye(3) + 1.0)
+
+
+class TestFactorGram:
+    """F F^T is exactly symmetric, as the Lanczos iteration needs, on each
+    layout a factor can have with unit-stride rows or columns."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "column-sliced", "row-strided"])
+    @pytest.mark.parametrize("n,r", [(2, 4), (257, 64), (1500, 16), (300, 1024)])
+    def test_exactly_symmetric(self, layout, n, r):
+        base = np.random.default_rng(n + r).standard_normal((2 * n, r + 3))
+        f = {
+            "C": np.ascontiguousarray(base[:n, :r]),
+            "F": np.asfortranarray(base[:n, :r]),
+            "column-sliced": base[:n, 3:],
+            "row-strided": base[::2, :r],
+        }[layout]
+        g = numerics.factor_gram(f)
+        assert g.shape == (n, n)
+        assert np.array_equal(g, g.T)
+        assert np.allclose(g, np.einsum("ik,jk->ij", f, f), rtol=0, atol=1e-12 * r)

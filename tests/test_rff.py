@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stream_kpca import (
+    ConfigurationError,
     ContractViolationError,
     KernelSpec,
     NystromModel,
@@ -191,30 +192,51 @@ class TestFeatureMapModel:
         data, models = _projection_models()
         model, basis, lift = models[method]
         width = basis.shape[1]
-        scale = np.ones(width) if model.loading_scale is None else model.loading_scale
         assert model.basis is basis
         assert model.ranks == (range(width, width + 1) if method == "nystrom" else range(1, width + 1))
         # width // 2 + 1 is the first k at which a square basis takes the
         # coordinates past k instead of subtracting the reconstruction
         for k in (1, width // 2 + 1, width):
+            if method == "nystrom":  # its rank is fixed at train time
+                model = NystromModel.from_samples(model.kernel, model.samples, k)
+                assert np.array_equal(model.basis, basis)
+            scale = np.ones(width) if model.loading_scale is None else model.loading_scale
             lifted, loading, residual = model.project_test(data[0], k)
             assert np.array_equal(lifted, lift(data[0]))
             coords = basis[:, :k].T @ lifted
             assert np.array_equal(loading, scale[:k] * coords)
             subtracted = float(np.linalg.norm(lifted - basis[:, :k] @ coords))
             if basis.shape[0] == width and 2 * k > width:
-                assert residual == float(np.linalg.norm(basis[:, k:].T @ lifted))
+                rest = basis[:, k:].T @ lifted
             else:
-                assert residual == subtracted
+                rest = lifted - basis[:, :k] @ coords
+            assert abs(residual - np.linalg.norm(rest)) <= 1e-15 * np.linalg.norm(lifted)
             assert abs(residual - subtracted) <= 1e-13 * np.linalg.norm(lifted)
-            if k in model.ranks:
-                assert np.array_equal(model.answer(data[0], k)[0], loading)
-            factor = model.gram_factor(data, k)
-            assert factor.shape == (600, k)
-            want = (model.lift_batch(data) @ basis[:, :k]) * scale[:k]
-            assert np.allclose(factor, want, rtol=0, atol=1e-13)
+            assert np.array_equal(model.answer(data[0], k)[0], loading)
+            loadings, residuals = model.transform(data, k)
+            assert loadings.shape == (600, k) and residuals.shape == (600,)
+            lifts = model.lift_batch(data)
+            coords = lifts @ basis[:, :k]
+            assert np.allclose(loadings, coords * scale[:k], rtol=0, atol=1e-13)
+            subtracted = np.linalg.norm(lifts - coords @ basis[:, :k].T, axis=1)
+            assert np.all(np.abs(residuals - subtracted) <= 1e-13 * np.linalg.norm(lifts, axis=1))
+            assert np.array_equal(model.gram_factor(data, k), loadings)
         assert np.array_equal(model.gram_factor(data), model.gram_factor(data, width))
-        assert np.array_equal(model.reconstruct(data, 2), factor_gram(model.gram_factor(data, 2)))
+        assert np.array_equal(model.reconstruct(data), factor_gram(model.gram_factor(data)))
+
+    @pytest.mark.parametrize("method", ["skpca", "rnca", "nystrom"])
+    def test_every_entry_refuses_a_rank_outside_ranks(self, method):
+        data, models = _projection_models()
+        model = models[method][0]
+        width = model.basis.shape[1]
+        bad = [0, width + 1, 2.0, True] + ([width - 1] if method == "nystrom" else [])
+        entries = [model.answer, model.project_test, model.transform, model.gram_factor]
+        for k in bad:
+            for entry in entries:
+                x = data if entry in (model.transform, model.gram_factor) else data[0]
+                refused = (ContractViolationError, ConfigurationError)
+                with pytest.raises(refused, match="k must be in"):
+                    entry(x, k)
 
     @pytest.mark.parametrize("method", ["rnca", "nystrom"])
     def test_full_rank_residual_is_zero(self, method):
@@ -231,7 +253,7 @@ class TestFeatureMapModel:
         def refuse(*args):
             raise AssertionError("the residual at k = c needs no coordinates")
 
-        monkeypatch.setattr(NystromModel, "_coords", refuse)
+        monkeypatch.setattr(NystromModel, "_project", refuse)
         assert nystrom.residual(c_row) == 0.0
 
     def test_residual_does_not_increase_with_k(self):
