@@ -13,7 +13,8 @@ The Nystrom baseline keeps c independent single-slot reservoir samplers
 (slot i replaces its content at stream step t with probability 1/t, so
 every slot holds a uniform sample of the stream, with-replacement across
 slots). Reconstruction is C @ pinv(W_k) @ C.T from the kernel matrix W of
-the sampled points, formed through the model's (n, k) gram factor. Both
+the sampled points, formed through the model's (n, k) gram factor; W_k keeps
+W's leading k eigenpairs, so any k in [1, c] is answered by the one model. Both
 bases are square, so at the default full rank a point's residual costs no
 product past its loading's (`ProjectionModel._residuals`).
 """
@@ -28,16 +29,9 @@ from typing import Iterable
 import numpy as np
 
 from .dataio import first_point, row_blocks
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ContractViolationError
 from .kernels import KernelSpec, cross_gram, gram
-from .numerics import (
-    MACHINE_EPS,
-    as_matrix,
-    as_vector,
-    check_rank,
-    check_shape,
-    sym_eig,
-)
+from .numerics import MACHINE_EPS, as_matrix, as_vector, check_shape, sym_eig
 from .rff import (
     FeatureMap,
     FeatureMapModel,
@@ -142,12 +136,11 @@ class NystromModel(ProjectionModel):
     Stores the sampled points and the eigendecomposition of their kernel
     matrix W (W itself is recomputable from the samples on demand, keeping
     peak memory at the c^2 + cd budget). Its projection lifts a point to
-    its kernel row against the samples; the rank k is fixed at train time.
+    its kernel row against the samples.
     """
 
     kernel: KernelSpec
     samples: np.ndarray  # (c, d)
-    k: int
     eigvals: np.ndarray  # (c,) non-increasing
     eigvecs: np.ndarray  # (c, c)
     seed: int | None = None
@@ -156,29 +149,22 @@ class NystromModel(ProjectionModel):
     peak_entries: int = 0
 
     method = "nystrom"
-    sizes = ("c", "k")
+    sizes = ("c",)
     seed_stream = "reservoir"
 
     @staticmethod
     def resolve(sizes: dict, eps=None, delta=None, n=None) -> dict:
-        """Final c >= 1, given or derived from (eps, delta) at length n; k in [1, c], or c."""
+        """Final c >= 1, given or derived from (eps, delta) at stream length n."""
         derived = derive_sample_count(eps, delta, n) if eps_delta_given(eps, delta) else None
-        c = settle_size("c", sizes["c"], derived)
-        k = settle_size("k", c if sizes["k"] is None else sizes["k"], None)
-        if k > c:
-            raise ConfigurationError(f"k must be in [1, c], got k={k}, c={c}")
-        return {"c": c, "k": k}
+        return {"c": settle_size("c", sizes["c"], derived)}
 
     @staticmethod
-    def fit(kernel: KernelSpec, seed: int, rows: Iterable, c: int, k: int) -> "NystromModel":
+    def fit(kernel: KernelSpec, seed: int, rows: Iterable, c: int) -> "NystromModel":
         """Stream through c independent reservoir samplers, then build the model."""
-        if c >= 1:  # k is checked before any row is read; reservoir_sample refuses c < 1
-            check_rank(k, c)
         samples, n_seen, slot_replacements = reservoir_sample(c, seed, rows)
         return NystromModel.from_samples(
             kernel,
             samples,
-            k,
             seed=seed,
             n_seen=n_seen,
             replacements=int(slot_replacements.sum()),
@@ -188,12 +174,11 @@ class NystromModel(ProjectionModel):
     def from_record(cls, kernel: KernelSpec, record: dict) -> "NystromModel":
         samples = check_shape(record["samples"], (record["c"], record["d"]), "samples")
         counts = {name: record[name] for name in ("seed", "n_seen", "replacements")}
-        model = cls.from_samples(kernel, samples, record["k"], **counts)
+        model = cls.from_samples(kernel, samples, **counts)
         return replace(model, peak_entries=record["peak_entries"])
 
     def record_fields(self) -> dict:
-        fields = {"c": self.c, "k": self.k, "replacements": self.replacements}
-        return {**fields, "samples": self.samples}
+        return {"c": self.c, "replacements": self.replacements, "samples": self.samples}
 
     @property
     def c(self) -> int:
@@ -204,10 +189,6 @@ class NystromModel(ProjectionModel):
         return self.samples.shape[1]
 
     @property
-    def ranks(self) -> range:
-        return range(self.k, self.k + 1)
-
-    @property
     def space(self) -> int:
         return nystrom_space_entries(self.c, self.d)
 
@@ -216,7 +197,6 @@ class NystromModel(ProjectionModel):
         cls,
         kernel: KernelSpec,
         samples,
-        k: int,
         *,
         seed: int | None = None,
         n_seen: int = 0,
@@ -225,12 +205,10 @@ class NystromModel(ProjectionModel):
         """Build the model for a fixed set of sampled points."""
         pts = as_matrix(samples, "samples")
         c = pts.shape[0]
-        check_rank(k, c)
         eigvals, eigvecs = sym_eig(gram(kernel, pts))
         return cls(
             kernel=kernel,
             samples=pts,
-            k=k,
             eigvals=eigvals,
             eigvecs=eigvecs,
             seed=seed,
@@ -242,13 +220,13 @@ class NystromModel(ProjectionModel):
         )
 
     def test(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel row and rank-k loading from `_project`: one c x k product, no more at k = c."""
+        """Kernel row and full-rank loading from `_project`: one c x c product."""
         c_row = self.lift(x)
-        return c_row, self._project(c_row, self.k)[0]
+        return c_row, self._project(c_row, self.c)[0]
 
     def residual(self, c_row: np.ndarray) -> float:
-        """Norm of the kernel row outside W's rank-k eigenspace; no product at k = c."""
-        return self._residuals(c_row, self.k)
+        """Norm of the kernel row outside W's eigenspace: 0, with no product."""
+        return self._residuals(c_row, self.c)
 
     @property
     def basis(self) -> np.ndarray:

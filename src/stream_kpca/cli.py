@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--m", type=int, default=None, help="feature count (skpca/rnca)")
     t.add_argument("--ell", type=int, default=None, help="sketch size (skpca)")
     t.add_argument("--c", type=int, default=None, help="sample count (nystrom)")
-    t.add_argument("--k", type=int, default=None, help="rank (nystrom; defaults to c)")
     t.add_argument("--sigma", type=float, default=1.0, help="kernel bandwidth")
     t.add_argument("--eps", type=float, default=None, help="error parameter in (0,1)")
     t.add_argument("--delta", type=float, default=None, help="failure probability in (0,1)")
@@ -128,7 +127,7 @@ def _require(condition: bool, message: str) -> None:
 def cmd_train(args) -> int:
     kernel = KernelSpec(sigma=args.sigma)
     model_cls = MODELS[args.method]
-    for name in ("m", "ell", "c", "k"):
+    for name in ("m", "ell", "c"):
         if name not in model_cls.sizes:
             _require(getattr(args, name) is None, f"--{name} does not apply to {args.method}")
     given = {name: getattr(args, name) for name in model_cls.sizes}
@@ -157,7 +156,7 @@ def cmd_train(args) -> int:
 
 def cmd_test(args) -> int:
     model, _ = load_model(args.model)
-    k = model.ranks[-1] if args.k is None else args.k
+    k = model.basis.shape[1] if args.k is None else args.k
     # LIFT_CHUNK rows at a time are read, answered (transform() refuses a bad k
     # before anything of size k exists) and written; the timer skips the writes
     rows = _input_rows(args)
@@ -210,8 +209,8 @@ def cmd_benchmark(args) -> int:
     _require(args.k is None or args.k >= 1, f"k must be in [1, n] for n rows, got {args.k}")
     _require(args.jobs >= 1, f"jobs must be >= 1, got {args.jobs}")
 
-    # a method's cells: every combination of its sizes' values; k takes its default
-    values = {"m": sizes, "ell": even_ells, "c": csizes, "k": [None]}
+    # a method's cells: every combination of its sizes' values
+    values = {"m": sizes, "ell": even_ells, "c": csizes}
     grid = [
         evaluation.BenchmarkCell(method=method, **dict(zip(MODELS[method].sizes, combo)))
         for method in methods

@@ -120,9 +120,9 @@ class BenchmarkCell:
     """One (method, config) grid cell.
 
     skpca needs (m, ell); rnca needs m; nystrom needs c. k, optional, is the
-    rank of the scored reconstruction (and nystrom's model rank); it
-    defaults to ell, m and c. When the cell is built, before any data is
-    read, `resolve` checks the sizes and the cell checks k against the last.
+    rank of the scored reconstruction; it defaults to ell, m and c. When the
+    cell is built, before any data is read, `resolve` checks the sizes and
+    the cell checks k against the last.
     """
 
     method: str
@@ -134,7 +134,7 @@ class BenchmarkCell:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        top = list(self.sizes().values())[-1]  # ell, m, or nystrom's checked k
+        top = list(self.sizes().values())[-1]  # ell, m or c
         if self.k is not None:
             try:
                 check_rank(self.k, top)
@@ -227,6 +227,8 @@ def run_benchmark(
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    if timing_reps < 1:
+        raise ConfigurationError(f"timing_reps must be >= 1, got {timing_reps}")
     if not grid:
         return []
     kernel = kernel if kernel is not None else KernelSpec()
@@ -258,8 +260,8 @@ def run_benchmark(
         fit, sizes = MODELS[cell.method].fit, cell.sizes()
         train = partial(fit, kernel, cell_seed, arr, **sizes)
         train_seconds, model = _median_time(train, timing_reps)
-        # the benchmark's rank where the model answers at it, else its default
-        k_test = k if k in model.ranks else model.ranks[-1]
+        # the benchmark's rank, capped at the basis width
+        k_test = model.basis.shape[1] if k is None else min(k, model.basis.shape[1])
 
         def test_pass():
             for row in tst:

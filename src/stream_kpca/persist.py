@@ -35,11 +35,11 @@ from .kernels import KernelSpec
 from .methods import MODELS
 
 MODEL_FORMAT = "stream-kpca-model"
-MODEL_VERSION = 5
+MODEL_VERSION = 6
 
 # integer fields of the envelope and of the class records; a Nystrom model
 # built from given samples has no seed, so "seed" may also be null
-INT_FIELDS = ("d", "n_seen", "peak_entries", "seed", "m", "ell", "c", "k", "replacements")
+INT_FIELDS = ("d", "n_seen", "peak_entries", "seed", "m", "ell", "c", "replacements")
 
 
 def encode_array(a: np.ndarray) -> dict:

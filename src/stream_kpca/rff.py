@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ContractViolationError
 from .kernels import KernelSpec
 from .numerics import as_matrix, as_vector, check_rank, factor_gram
 
@@ -101,8 +101,8 @@ class ProjectionModel:
     """The projection all three models share (the model protocol is in
     `stream_kpca.methods`), one body for a point's lift and a block's: a lift
     onto the first k columns of an orthonormal `basis`, scaled by
-    `loading_scale` unless None, at a k in `ranks`. A subclass supplies
-    `lift(x)`, `lift_batch(a)`, `basis`, `ranks` and `loading_scale`."""
+    `loading_scale` unless None, at any k in [1, r] for an (m, r) basis. A
+    subclass supplies `lift(x)`, `lift_batch(a)`, `basis` and `loading_scale`."""
 
     loading_scale: np.ndarray | None = None
 
@@ -115,29 +115,22 @@ class ProjectionModel:
         (lifted, loading, residual): the lift, its k loading coordinates and the
         norm of the lift outside their span. Costs one lift, O(mk) for the loading
         and O(m min(k, r - k)) for the residual (O(mk) if the basis is not square)."""
-        self._check_rank(k)
+        check_rank(k, self.basis.shape[1])
         lifted = self.lift(x)
         return (lifted, *self._project(lifted, k))
 
     def transform(self, a, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The (n, k) loadings and (n,) residuals of the rows of `a` (k defaults to
-        `ranks[-1]`), `LIFT_CHUNK` rows at a time; row i is `answer(a[i], k)`
+        the basis width), `LIFT_CHUNK` rows at a time; row i is `answer(a[i], k)`
         up to rounding, since a block's products sum in another order."""
-        k = self.ranks[-1] if k is None else k
-        self._check_rank(k)
+        k = self.basis.shape[1] if k is None else k
+        check_rank(k, self.basis.shape[1])
         arr = as_matrix(a, "data matrix")
         loadings, residuals = np.empty((arr.shape[0], k)), np.empty(arr.shape[0])
         for start in range(0, arr.shape[0], LIFT_CHUNK):
             rows = slice(start, start + LIFT_CHUNK)
             loadings[rows], residuals[rows] = self._project(self.lift_batch(arr[rows]), k)
         return loadings, residuals
-
-    def _check_rank(self, k: int) -> None:
-        check_rank(k, self.basis.shape[1])
-        if k not in self.ranks:
-            low, high = self.ranks[0], self.ranks[-1]
-            raise ConfigurationError(f"{self.method} ranks are fixed at train time: k must be "
-                                     f"in [{low}, {high}], got {k}")
 
     def _project(self, z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The loadings and residuals of a lift z, one point's (m,) or a
@@ -186,10 +179,6 @@ class FeatureMapModel(ProjectionModel):
     @property
     def d(self) -> int:
         return self.fm.d
-
-    @property
-    def ranks(self) -> range:
-        return range(1, self.basis.shape[1] + 1)
 
     def lift(self, x) -> np.ndarray:
         return self.fm.apply(x)

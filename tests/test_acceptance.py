@@ -226,7 +226,7 @@ def test_criterion_07_nystrom_parity():
     worst = 0.0
     start = time.perf_counter()
     for seed in range(20):
-        model = sk.NystromModel.fit(spec, seed, data, c=c, k=c)
+        model = sk.NystromModel.fit(spec, seed, data, c=c)
         err = sk.spectral_error(g, model.reconstruct(data))
         worst = max(worst, err)
         passes += err <= EPS5
@@ -235,7 +235,7 @@ def test_criterion_07_nystrom_parity():
     # full-sampling exactness at n <= 20: every point sampled once, k = c
     small = gaussian_mixture(18, 4, seed=9)
     g_small = sk.gram(spec, small)
-    exact_model = sk.NystromModel.from_samples(spec, small, k=18)
+    exact_model = sk.NystromModel.from_samples(spec, small)
     exact_gap = float(np.max(np.abs(exact_model.reconstruct(small) - g_small)))
     exact_ok = exact_gap <= 1e-6 * 18
 
@@ -300,7 +300,7 @@ def cost_runs():
     del rnca_model
 
     t0 = time.perf_counter()
-    nystrom_model = sk.NystromModel.fit(spec, 3, data, c=C9, k=C9)
+    nystrom_model = sk.NystromModel.fit(spec, 3, data, c=C9)
     out["nystrom_train"] = time.perf_counter() - t0
     out["nystrom_peak"] = nystrom_model.peak_entries
 

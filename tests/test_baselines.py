@@ -145,52 +145,58 @@ class TestReservoir:
 
 class TestNystrom:
     def test_single_point_single_slot(self, spec):
-        model = NystromModel.fit(spec, 0, [np.array([1.0, 2.0])], c=1, k=1)
+        model = NystromModel.fit(spec, 0, [np.array([1.0, 2.0])], c=1)
         assert np.array_equal(model.samples, [[1.0, 2.0]])
         assert np.array_equal(gram(spec, model.samples), [[1.0]])
 
     def test_duplicate_slots_handled_by_pinv(self, spec):
         # two distinct points into five slots: W is rank-deficient by design
         stream = [np.array([0.0, 0.0]), np.array([1.0, 1.0])]
-        model = NystromModel.fit(spec, 1, stream, c=5, k=5)
+        model = NystromModel.fit(spec, 1, stream, c=5)
         recon = model.reconstruct(np.vstack(stream))
         assert np.all(np.isfinite(recon))
 
     def test_kernel_row_at_sample(self, spec):
         data = gaussian_mixture(20, 3, seed=12)
-        model = NystromModel.fit(spec, 2, data, c=6, k=6)
+        model = NystromModel.fit(spec, 2, data, c=6)
         c_row, loading = model.test(model.samples[3])
         assert c_row[3] == pytest.approx(1.0, abs=1e-12)
         assert loading.shape == (6,)
 
     @pytest.mark.parametrize("k", [1, 8])
     def test_answer_is_test_and_residual(self, spec, k):
-        # answer shares one V_k^T c_row between the loading and the residual
+        # test and residual answer at the full rank c = 8, where the residual is 0;
+        # answer's rank-k loading is the first k of test's
         data = gaussian_mixture(30, 3, seed=16)
-        model = NystromModel.fit(spec, 4, data, c=8, k=k)
+        model = NystromModel.fit(spec, 4, data, c=8)
         for x in data:
-            c_row, want_loading = model.test(x)
+            c_row, full = model.test(x)
             loading, residual = model.answer(x, k)
-            assert loading.tobytes() == want_loading.tobytes()
-            assert residual == model.residual(c_row)
+            if k == 8:
+                assert loading.tobytes() == full.tobytes()
+            else:
+                # a narrower product may round differently
+                assert np.all(np.abs(loading - full[:k]) <= 1e-13 * np.maximum(1.0, np.abs(full[:k])))
+            assert model.residual(c_row) == 0.0
+            assert residual == 0.0 if k == 8 else residual > 0.0
 
     def test_loading_length_k(self, spec):
         data = gaussian_mixture(20, 3, seed=13)
-        model = NystromModel.fit(spec, 3, data, c=8, k=3)
-        _, loading = model.test(data[0])
-        assert loading.shape == (3,)
+        model = NystromModel.fit(spec, 3, data, c=8)
+        assert model.answer(data[0], 3)[0].shape == (3,)
+        assert model.test(data[0])[1].shape == (8,)
 
     def test_full_sampling_reconstructs_exactly(self, spec):
         # all n distinct points sampled, k = c: the Nystrom identity is exact
         data = gaussian_mixture(15, 3, seed=14)
-        model = NystromModel.from_samples(spec, data, k=15)
+        model = NystromModel.from_samples(spec, data)
         g = gram(spec, data)
         recon = model.reconstruct(data)
         assert np.max(np.abs(recon - g)) <= 1e-6 * 15
 
     def test_full_sampling_gram_column(self, spec):
         data = gaussian_mixture(12, 3, seed=15)
-        model = NystromModel.from_samples(spec, data, k=12)
+        model = NystromModel.from_samples(spec, data)
         g = gram(spec, data)
         c_row, _ = model.test(data[4])
         c_mat = np.array([[eval_kernel(spec, x, s) for s in model.samples] for x in data])
@@ -201,24 +207,24 @@ class TestNystrom:
         # reconstruct applies pinv(W_k) through its factor; oracle: C pinv(W_k) C^T
         # with pinv(W_k) from numpy's dense eigh and pinv
         data = gaussian_mixture(10, 3, seed=16)
-        model = NystromModel.from_samples(spec, data, k=4)
+        model = NystromModel.from_samples(spec, data)
         points = gaussian_mixture(15, 3, seed=24)
         c_mat = cross_gram(spec, points, data)
         dense = c_mat @ dense_wk_pinv(gram(spec, data), 4) @ c_mat.T
-        assert np.allclose(model.reconstruct(points), dense, rtol=0, atol=1e-8)
+        assert np.allclose(model.reconstruct(points, 4), dense, rtol=0, atol=1e-8)
 
     def test_reconstruct_symmetric_low_rank(self, spec):
         data = gaussian_mixture(25, 3, seed=17)
-        model = NystromModel.fit(spec, 4, data, c=10, k=4)
-        recon = model.reconstruct(data)
+        model = NystromModel.fit(spec, 4, data, c=10)
+        recon = model.reconstruct(data, 4)
         assert np.linalg.norm(recon - recon.T) <= 1e-10
         w = np.linalg.eigvalsh(recon)
         assert np.sum(np.abs(w) > 1e-8 * max(abs(w[-1]), 1.0)) <= 4
 
     def test_only_final_samples_matter(self, spec):
         data = gaussian_mixture(30, 3, seed=18)
-        model = NystromModel.fit(spec, 5, data, c=5, k=5)
-        rebuilt = NystromModel.from_samples(spec, model.samples, k=5)
+        model = NystromModel.fit(spec, 5, data, c=5)
+        rebuilt = NystromModel.from_samples(spec, model.samples)
         assert np.allclose(
             model.reconstruct(data[:10]), rebuilt.reconstruct(data[:10]), atol=1e-12
         )
@@ -227,22 +233,24 @@ class TestNystrom:
     def test_loadings_reproduce_reconstructed_gram(self, spec, k):
         # 5 distinct points in 8 slots: W has 3 eigenvalues under the pinv cutoff
         distinct = gaussian_mixture(5, 3, seed=22)
-        model = NystromModel.from_samples(spec, distinct[[0, 1, 1, 2, 3, 3, 3, 4]], k=k)
+        model = NystromModel.from_samples(spec, distinct[[0, 1, 1, 2, 3, 3, 3, 4]])
         cutoff = 8 * np.finfo(np.float64).eps * model.eigvals[0]
         assert np.sum(model.eigvals <= cutoff) == 3
         points = np.vstack([gaussian_mixture(30, 3, seed=23), distinct])
-        loadings = np.vstack([model.test(x)[1] for x in points])
+        loadings = np.vstack([model.answer(x, k)[0] for x in points])
         c_mat = cross_gram(spec, points, model.samples)
         want = c_mat @ dense_wk_pinv(gram(spec, model.samples), k) @ c_mat.T
         assert np.max(np.abs(loadings @ loadings.T - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_k_out_of_range(self, spec):
-        with pytest.raises(ContractViolationError):
-            NystromModel.fit(spec, 0, gaussian_mixture(10, 2, seed=19), c=4, k=5)
+        model = NystromModel.fit(spec, 0, gaussian_mixture(10, 2, seed=19), c=4)
+        for k in (0, 5):
+            with pytest.raises(ContractViolationError, match=r"k must be in \[1, 4\]"):
+                model.answer(np.zeros(2), k)
 
     @pytest.mark.parametrize("c, d, expected", [(1024, 20, 2_118_656), (8, 3, 160)])
     def test_peak_entries_itemized(self, spec, c, d, expected):
-        model = NystromModel.fit(spec, 13, gaussian_mixture(5, d, seed=13), c=c, k=c)
+        model = NystromModel.fit(spec, 13, gaussian_mixture(5, d, seed=13), c=c)
         # sample buffer, W, eigendecomposition; the sample buffer is counted once
         assert model.peak_entries == c * d + c * c + (c * c + c) == expected
         assert model.peak_entries <= 3 * nystrom_space_entries(c, d)
@@ -250,7 +258,7 @@ class TestNystrom:
     def test_space_accounting(self, spec):
         c, d = 12, 3
         data = gaussian_mixture(40, d, seed=20)
-        model = NystromModel.fit(spec, 6, data, c=c, k=c)
+        model = NystromModel.fit(spec, 6, data, c=c)
         assert model.peak_entries <= 3 * nystrom_space_entries(c, d)
 
 
@@ -263,8 +271,8 @@ class TestNystromShiftInvariance:
     @pytest.mark.parametrize("mu", [1.0, 100.0])
     def test_shifted_fit_answers_as_the_unshifted(self, shift_data, mu, k):
         spec = KernelSpec(sigma=3.5)
-        model = NystromModel.fit(spec, 5, shift_data, c=256, k=k)
-        moved = NystromModel.fit(spec, 5, shift_data + mu, c=256, k=k)
+        model = NystromModel.fit(spec, 5, shift_data, c=256)
+        moved = NystromModel.fit(spec, 5, shift_data + mu, c=256)
         assert np.array_equal(moved.samples, model.samples + mu)
         for x in shift_data[::15]:
             (a_load, a_res), (b_load, b_res) = model.answer(x, k), moved.answer(x + mu, k)
@@ -272,7 +280,7 @@ class TestNystromShiftInvariance:
             assert abs(b_res - a_res) <= 1e-11
 
 
-SIZES = {"skpca": {"m": 24, "ell": 6}, "rnca": {"m": 20}, "nystrom": {"c": 10, "k": 4}}
+SIZES = {"skpca": {"m": 24, "ell": 6}, "rnca": {"m": 20}, "nystrom": {"c": 10}}
 
 
 def _direct(method, spec, seed, data):
@@ -288,7 +296,6 @@ def _direct(method, spec, seed, data):
     model = NystromModel.from_samples(
         spec,
         samples,
-        SIZES["nystrom"]["k"],
         seed=seed,
         n_seen=n_seen,
         replacements=int(slot_replacements.sum()),
@@ -325,8 +332,8 @@ class TestRegistry:
             ("skpca", {"m": 2, "ell": 2}, 1, 1, 24),
             ("rnca", {"m": 7}, 3, 1, 196),
             ("rnca", {"m": 64}, 20, 40, 14_912),
-            ("nystrom", {"c": 33, "k": 33}, 20, 2, 2_871),
-            ("nystrom", {"c": 1, "k": 1}, 1, 40, 4),
+            ("nystrom", {"c": 33}, 20, 2, 2_871),
+            ("nystrom", {"c": 1}, 1, 40, 4),
             ("rnca", {"m": 64}, 20, 150, 14_912),  # three blocks: each lift goes before the next
         ],
     )
@@ -339,9 +346,9 @@ class TestRegistry:
         [
             ("skpca", {"m": None, "ell": None}, 0.45, 0.2, {"m": 416, "ell": 10}),
             ("rnca", {"m": None}, 0.45, 0.2, {"m": 416}),
-            ("nystrom", {"c": None, "k": None}, 0.5, 0.2, {"c": 27, "k": 27}),
-            ("nystrom", {"c": 12, "k": None}, None, None, {"c": 12, "k": 12}),
-            ("nystrom", {"c": 12, "k": 3}, None, None, {"c": 12, "k": 3}),
+            ("nystrom", {"c": None}, 0.5, 0.2, {"c": 27}),
+            ("nystrom", {"c": 12}, None, None, {"c": 12}),
+            ("nystrom", {"c": 1}, None, None, {"c": 1}),
         ],
     )
     def test_resolve(self, method, given, eps, delta, want):
@@ -366,10 +373,7 @@ class TestRegistry:
             ("skpca", {"m": 64, "ell": 0}, "ell must be an integer >= 2"),
             ("skpca", {"m": 64.0, "ell": 8}, "m must be an integer >= 1"),
             ("rnca", {"m": 0}, "m must be an integer >= 1"),
-            ("nystrom", {"c": 0, "k": None}, "c must be an integer >= 1"),
-            ("nystrom", {"c": 8, "k": 20}, r"k must be in \[1, c\]"),
-            ("nystrom", {"c": 8, "k": 0}, "k must be an integer >= 1"),
-            ("nystrom", {"c": 8, "k": 4.0}, "k must be an integer >= 1"),
+            ("nystrom", {"c": 0}, "c must be an integer >= 1"),
         ],
     )
     def test_resolve_rejects_sizes_out_of_range(self, method, sizes, match):
@@ -384,21 +388,13 @@ class TestRegistry:
             with pytest.raises(ConfigurationError, match="eps and delta must be given together"):
                 MODELS[method].resolve(sizes, eps, delta, 80)
 
-    def test_nystrom_answers_only_at_its_rank(self, spec):
-        model = NystromModel.fit(spec, 0, gaussian_mixture(20, 2, seed=1), c=6, k=3)
-        assert model.ranks == range(3, 4)
-        loading, residual = model.answer(np.zeros(2), 3)
-        assert loading.shape == (3,) and residual >= 0.0
-        with pytest.raises(ConfigurationError, match="fixed at train time"):
-            model.answer(np.zeros(2), 2)
-
 
 # a valid eps is kept >= 0.5 and a valid delta >= 0.05, so a derived m stays
 # near 300 and RNCA's m x m covariance small
 SIZE_VALUES = st.one_of(st.none(), st.integers(-2, 40), st.sampled_from([4.0, 8.5]))
 EPS_VALUES = st.one_of(st.none(), st.sampled_from([-0.25, 0.0]), st.floats(0.5, 1.5))
 DELTA_VALUES = st.one_of(st.none(), st.sampled_from([-0.25, 0.0]), st.floats(0.05, 1.5))
-UNSIZED = dict.fromkeys(("m", "ell", "c", "k"))
+UNSIZED = dict.fromkeys(("m", "ell", "c"))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -412,8 +408,8 @@ UNSIZED = dict.fromkeys(("m", "ell", "c", "k"))
 @example("skpca", UNSIZED, (0.5, 0.05))
 @example("rnca", {**UNSIZED, "m": 1}, (None, None))
 @example("rnca", UNSIZED, (0.99, 0.9))
-@example("nystrom", {**UNSIZED, "c": 40, "k": 40}, (None, None))
-@example("nystrom", {**UNSIZED, "k": 1}, (0.6, 0.3))
+@example("nystrom", {**UNSIZED, "c": 40}, (None, None))
+@example("nystrom", UNSIZED, (0.6, 0.3))
 def test_resolve_is_the_only_size_gate(method, raw, eps_delta):
     """Sizes `resolve` accepts never fail in `fit`; those it refuses, it refuses
     with ConfigurationError, before any row is read."""

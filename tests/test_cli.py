@@ -143,19 +143,28 @@ class TestTrain:
         assert run("train", "--input", data_csv, "--output", tmp_path / "r.json",
                    "--method", "rnca", "--m", 24, "--seed", 1) == 0
         assert run("train", "--input", data_csv, "--output", tmp_path / "n.json",
-                   "--method", "nystrom", "--c", 12, "--k", 6, "--seed", 1) == 0
+                   "--method", "nystrom", "--c", 12, "--seed", 1) == 0
         record = json.loads((tmp_path / "n.json").read_text())
         assert record["method"] == "nystrom"
-        assert record["k"] == 6
+        assert record["c"] == 12 and "k" not in record
+
+    def test_train_takes_no_rank(self, data_csv, tmp_path, capsys):
+        # every model answers any k up to its basis width, so k is chosen at test time
+        model = tmp_path / "n.json"
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--input", data_csv, "--output", model, "--method", "nystrom",
+                "--c", 8, "--k", 4)
+        assert exc.value.code == 2 and "unrecognized arguments: --k 4" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize(
         "method,sizes,flag",
         [
             ("skpca", ["--m", 16, "--ell", 4], "--c"),
-            ("skpca", ["--m", 16, "--ell", 4], "--k"),
+            ("skpca", ["--eps", 0.5, "--delta", 0.2], "--c"),  # sizes to derive
             ("rnca", ["--m", 16], "--ell"),
             ("rnca", ["--m", 16], "--c"),
-            ("rnca", ["--m", 16], "--k"),
+            ("rnca", ["--eps", 0.5, "--delta", 0.2], "--ell"),
             ("nystrom", ["--c", 8], "--m"),
             ("nystrom", ["--c", 8], "--ell"),
         ],
@@ -175,7 +184,7 @@ class TestTrain:
             ("--m", "4", "--ell", "8"),
             ("--m", "64", "--ell", "7"),
             ("--method", "rnca", "--m", "0"),
-            ("--method", "nystrom", "--c", "8", "--k", "20"),
+            ("--method", "nystrom", "--c", "0"),
             ("--m", "64", "--ell", "8", "--eps", "0.5"),
             ("--eps", "1.5", "--delta", "0.1"),
             ("--method", "nystrom", "--eps", "0.5", "--delta", "0"),
@@ -248,17 +257,6 @@ class TestTest:
             ["data.csv", "model.json", "bad.csv"] + ["load.csv"] * existing
         )
 
-    def test_nystrom_rank_fixed_at_train_time(self, data_csv, tmp_path, capsys):
-        model = tmp_path / "model.json"
-        assert run("train", "--input", data_csv, "--output", model, "--method", "nystrom",
-                   "--c", 10, "--k", 4) == 0
-        capsys.readouterr()
-        assert run("test", "--model", model, "--input", data_csv,
-                   "--output", tmp_path / "load.csv", "--k", 3) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ConfigurationError:") and "fixed at train time" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "model.json"]
-
     def test_huge_k_refused_before_allocation(self, data_csv, tmp_path, capsys):
         # loadings of width 10**9 would not fit in memory: a MemoryError here
         # means something of size k was allocated before the rank check
@@ -289,7 +287,7 @@ class TestTest:
     @pytest.mark.parametrize("method,sizes", [
         ("skpca", ["--m", 32, "--ell", 4]),
         ("rnca", ["--m", 16]),
-        ("nystrom", ["--c", 10, "--k", 3]),
+        ("nystrom", ["--c", 10]),
     ])
     def test_loadings_match_per_value_formatting(self, method, sizes, tmp_path):
         # 600 rows cross the 256-row block boundary of test and of transform
@@ -300,7 +298,7 @@ class TestTest:
         out_csv = tmp_path / "load.csv"
         assert run("test", "--model", model_path, "--input", data_csv, "--output", out_csv) == 0
         model, _ = load_model(model_path)
-        data, k = read_matrix_csv(data_csv), model.ranks[-1]
+        data, k = read_matrix_csv(data_csv), model.basis.shape[1]
         loadings, residuals = model.transform(data, k)
         rows = np.column_stack([loadings, residuals])
         assert out_csv.read_text() == format_rows(rows) == reference_csv(rows.tolist())
@@ -310,9 +308,10 @@ class TestTest:
     def test_nystrom_loadings(self, data_csv, tmp_path):
         model = tmp_path / "ny.json"
         run("train", "--input", data_csv, "--output", model, "--method", "nystrom",
-            "--c", 10, "--k", 3, "--seed", 2)
+            "--c", 10, "--seed", 2)
         out_csv = tmp_path / "load.csv"
-        assert run("test", "--model", model, "--input", data_csv, "--output", out_csv) == 0
+        assert run("test", "--model", model, "--input", data_csv, "--output", out_csv,
+                   "--k", 3) == 0
         rows = out_csv.read_text().strip().split("\n")
         assert len(rows) == 80
         assert all(len(r.split(",")) == 4 for r in rows)  # 3 loadings + residual
@@ -349,6 +348,8 @@ MALFORMED = {
     "version-3": lambda record: {**record, "version": 3},
     "version-4": lambda record: {**record, "center": None, "version": 4},
     "center-in-version-5": lambda record: {**record, "center": None},
+    "version-5": lambda record: {**record, "k": record["c"], "version": 5},
+    "k-in-version-6": lambda record: {**record, "k": record["c"]},
     "unknown-field": lambda record: {**record, "bogus": 1},
     "sigma-infinity": lambda record: {**record, "sigma": float("inf")},
     "ell-not-an-integer": lambda record: {**record, "ell": 4.0},
@@ -356,11 +357,17 @@ MALFORMED = {
 }
 
 
+# the cases that edit a Nystrom record, as the version 5 writer left it; the rest edit SKPCA's
+NYSTROM_CASES = ("version-5", "k-in-version-6")
+
+
 class TestMalformedModel:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_one_error_line_naming_the_path(self, case, data_csv, tmp_path, capsys):
         model = tmp_path / "model.json"
-        assert run("train", "--input", data_csv, "--output", model, "--m", 16, "--ell", 4) == 0
+        nystrom = case in NYSTROM_CASES
+        sizes = ["--method", "nystrom", "--c", 8] if nystrom else ["--m", 16, "--ell", 4]
+        assert run("train", "--input", data_csv, "--output", model, *sizes) == 0
         record = json.loads(model.read_text())
         model.write_text(json.dumps(MALFORMED[case](record)))
         capsys.readouterr()
@@ -369,6 +376,7 @@ class TestMalformedModel:
         err = capsys.readouterr().err
         assert err.startswith("error: ContractViolationError:") and err.count("\n") == 1
         assert str(model) in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestBenchmark:

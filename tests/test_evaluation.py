@@ -19,6 +19,7 @@ from stream_kpca import (
     train,
     write_reports_csv,
 )
+from stream_kpca import evaluation
 from stream_kpca.evaluation import ORACLE_MAX_N_ENV
 from stream_kpca.synthetic import signal_diagonal
 
@@ -278,10 +279,14 @@ class TestRunBenchmark:
                           small_noisy(5, seed=1), k=k, kernel=spec, timing_reps=1)
 
     @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one(self, spec, jobs):
+    def test_jobs_below_one(self, spec, jobs, monkeypatch):
+        args = ([BenchmarkCell(method="nystrom", c=8)], small_noisy(40), small_noisy(5, seed=1))
         with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
-            run_benchmark([BenchmarkCell(method="nystrom", c=8)], small_noisy(40),
-                          small_noisy(5, seed=1), kernel=spec, jobs=jobs, timing_reps=1)
+            run_benchmark(*args, kernel=spec, jobs=jobs, timing_reps=1)
+        # a timing repeat count below 1 is refused too, before the oracle gram is built
+        monkeypatch.setattr(evaluation, "gram", None)
+        with pytest.raises(ConfigurationError, match=f"timing_reps must be >= 1, got {jobs}"):
+            run_benchmark(*args, kernel=spec, timing_reps=jobs)
 
     def test_oracle_guard(self, spec, monkeypatch):
         monkeypatch.setenv(ORACLE_MAX_N_ENV, "50")

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from stream_kpca import (
     BenchmarkCell,
-    ConfigurationError,
     ContractViolationError,
     KernelSpec,
     NystromModel,
@@ -43,7 +42,7 @@ def _model(method: str, data: np.ndarray, seed: int):
         return train(SkpcaConfig(kernel=SPEC, seed=seed, m=24, ell=4), data)
     if method == "rnca":
         return rnca_train(sample_feature_map(SPEC, 16, data.shape[1], seed), data)
-    return NystromModel.fit(SPEC, seed, data, c=8, k=5)
+    return NystromModel.fit(SPEC, seed, data, c=8)
 
 
 def _reconstruct(model, data):
@@ -85,8 +84,8 @@ def _grid_case(cell: BenchmarkCell, data, k: int, seed: int):
         model = rnca_train(sample_feature_map(SPEC, cell.m, data.shape[1], cell_seed), data)
         gp = model.reconstruct(data, k=cell.k)
     else:
-        model = NystromModel.fit(SPEC, cell_seed, data, c=cell.c, k=cell.k or cell.c)
-        gp = model.reconstruct(data)
+        model = NystromModel.fit(SPEC, cell_seed, data, c=cell.c)
+        gp = model.reconstruct(data, k=cell.k)
     return report, model, gp
 
 
@@ -162,8 +161,8 @@ class TestGridMatchesDense:
         cell = BenchmarkCell(method="nystrom", c=80)
         report, model, gp = _grid_case(cell, data, k, seed=6)
         cutoff = model.c * MACHINE_EPS * model.eigvals[0]
-        rank = int(np.sum(model.eigvals[: model.k] > cutoff))
-        assert rank < model.k
+        rank = int(np.sum(model.eigvals > cutoff))
+        assert rank < model.c
         assert rank < 50
         _assert_grid_matches_dense(report, gram(SPEC, data), gp, k)
 
@@ -179,7 +178,7 @@ def _reference_gram(model, data):
     """The reconstructed gram by each method's direct formula, not through F."""
     if isinstance(model, NystromModel):
         c_mat = cross_gram(SPEC, data, model.samples)
-        return c_mat @ dense_wk_pinv(gram(SPEC, model.samples), model.k) @ c_mat.T
+        return c_mat @ dense_wk_pinv(gram(SPEC, model.samples), model.c) @ c_mat.T
     basis = model.w if hasattr(model, "w") else model.eigvecs
     t = model.fm.apply_batch(data) @ basis
     return t @ t.T
@@ -201,7 +200,7 @@ class TestGramFactor:
         # directions must contribute nothing, as in pinv(W_k)
         data = gaussian_mixture(12, 2, seed=14)
         near = data[:3] + 1e-8 * np.random.default_rng(15).standard_normal((3, 2))
-        model = NystromModel.from_samples(SPEC, np.vstack([data[:5], near]), k=8)
+        model = NystromModel.from_samples(SPEC, np.vstack([data[:5], near]))
         cutoff = model.c * MACHINE_EPS * model.eigvals[0]
         assert np.sum(model.eigvals <= cutoff) >= 3
         f = model.gram_factor(data)
@@ -213,24 +212,18 @@ class TestGramFactor:
         rnca = _model("rnca", data, 1)
         assert rnca.gram_factor(data).shape == (30, 16)
         assert rnca.gram_factor(data, k=3).shape == (30, 3)
-        assert _model("nystrom", data, 1).gram_factor(data).shape == (30, 5)
+        nystrom = _model("nystrom", data, 1)
+        assert nystrom.gram_factor(data).shape == (30, 8)
+        assert nystrom.gram_factor(data, k=5).shape == (30, 5)
 
     @pytest.mark.parametrize("method", ["skpca", "rnca", "nystrom"])
     def test_rank_k_factor_is_leading_columns(self, method):
-        # a rank-k factor is the first k columns of the default factor; for
-        # nystrom, whose rank is fixed at train time, it is the factor of a
-        # rank-k model on the same samples
+        # a rank-k factor is the first k columns of the default, full-width factor
         data = gaussian_mixture(30, 3, seed=9)
         model = _model(method, data, 1)
         full = model.gram_factor(data)
-        if method == "nystrom":
-            with pytest.raises(ConfigurationError, match="fixed at train time"):
-                model.gram_factor(data, k=2)
-            rank2 = NystromModel.from_samples(SPEC, model.samples, k=2).gram_factor(data)
-        else:
-            rank2 = model.gram_factor(data, k=2)
-        assert np.allclose(rank2, full[:, :2], rtol=0, atol=1e-12)
-        for bad in (0, model.ranks[-1] + 100):
+        assert np.allclose(model.gram_factor(data, k=2), full[:, :2], rtol=0, atol=1e-12)
+        for bad in (0, model.basis.shape[1] + 100):
             with pytest.raises(ContractViolationError, match="k must be in"):
                 model.gram_factor(data, k=bad)
 
@@ -240,7 +233,7 @@ class TestGramFactor:
         # 600 rows cross the 256-row lift boundary
         data = gaussian_mixture(600, 3, seed=10)
         model = _model(method, data, 1)
-        k = model.ranks[-1]
+        k = model.basis.shape[1]
         f = model.gram_factor(data)
         for i in (0, 255, 256, 599):
             loading, _ = model.answer(data[i], k)

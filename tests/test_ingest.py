@@ -146,10 +146,10 @@ def test_empty_stream_every_entry_point(tmp_path):
     with pytest.raises(ContractViolationError, match=EMPTY):
         RncaModel.fit(SPEC, 0, [], m=8)
     with pytest.raises(ContractViolationError, match=EMPTY):
-        NystromModel.fit(SPEC, 0, iter([]), c=3, k=2)
+        NystromModel.fit(SPEC, 0, iter([]), c=3)
 
 
-FIT_SIZES = {"skpca": {"m": 16, "ell": 4}, "rnca": {"m": 12}, "nystrom": {"c": 5, "k": 5}}
+FIT_SIZES = {"skpca": {"m": 16, "ell": 4}, "rnca": {"m": 12}, "nystrom": {"c": 5}}
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -254,7 +254,7 @@ def spec():
     return KernelSpec(sigma=1.5)
 
 
-SIZES = {"skpca": {"m": 24, "ell": 4}, "rnca": {"m": 16}, "nystrom": {"c": 8, "k": 5}}
+SIZES = {"skpca": {"m": 24, "ell": 4}, "rnca": {"m": 16}, "nystrom": {"c": 8}}
 ARRAY_FIELDS = {"skpca": ("w", "s"), "rnca": ("cov",), "nystrom": ("samples",)}
 INT_FIELDS = {
     method: ("d", "n_seen", "peak_entries", "seed", *MODELS[method].sizes) for method in METHODS
@@ -363,12 +363,12 @@ class TestPersistence:
 
     def test_nystrom_round_trip(self, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=7)
-        model = NystromModel.fit(spec, 8, data, c=6, k=4)
+        model = NystromModel.fit(spec, 8, data, c=6)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded, _ = load_model(path)
         assert np.allclose(loaded.reconstruct(data[:5]), model.reconstruct(data[:5]), atol=1e-12)
-        assert loaded.k == 4
+        assert loaded.c == 6 and "k" not in json.loads(path.read_text())
 
     @pytest.mark.parametrize("method", METHODS)
     def test_every_array_round_trips_bit_for_bit(self, method, spec, tmp_path):
@@ -431,7 +431,7 @@ class TestPersistence:
 
     def test_seedless_nystrom_round_trips(self, spec, tmp_path):
         data = gaussian_mixture(30, 3, seed=18)
-        model = NystromModel.from_samples(spec, data[:6], k=4)
+        model = NystromModel.from_samples(spec, data[:6])
         path = tmp_path / "model.json"
         save_model(model, path)
         assert json.loads(path.read_text())["seed"] is None
@@ -457,9 +457,9 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded, _ = load_model(path)
-        assert type(loaded) is type(model) and loaded.ranks == model.ranks
+        assert type(loaded) is type(model) and loaded.basis.shape == model.basis.shape
         for x in data[:10]:
-            for k in (model.ranks[0], model.ranks[-1]):
+            for k in (1, model.basis.shape[1]):
                 (a_load, a_res), (b_load, b_res) = model.answer(x, k), loaded.answer(x, k)
                 assert np.array_equal(a_load, b_load) and a_res == b_res
 

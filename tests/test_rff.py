@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stream_kpca import (
-    ConfigurationError,
     ContractViolationError,
     KernelSpec,
     NystromModel,
@@ -176,7 +175,7 @@ def _projection_models():
     data = gaussian_mixture(600, 3, seed=31)
     skpca = train(SkpcaConfig(kernel=spec, seed=4, m=24, ell=6), data)
     rnca = rnca_train(sample_feature_map(spec, 24, 3, 4), data)
-    nystrom = NystromModel.fit(spec, 4, data, c=10, k=10)
+    nystrom = NystromModel.fit(spec, 4, data, c=10)
     return data, {
         "skpca": (skpca, skpca.w, skpca.fm.apply),
         "rnca": (rnca, rnca.eigvecs, rnca.fm.apply),
@@ -193,13 +192,11 @@ class TestFeatureMapModel:
         model, basis, lift = models[method]
         width = basis.shape[1]
         assert model.basis is basis
-        assert model.ranks == (range(width, width + 1) if method == "nystrom" else range(1, width + 1))
+        full = model.transform(data)[0]
+        assert full.shape == (600, width)
         # width // 2 + 1 is the first k at which a square basis takes the
         # coordinates past k instead of subtracting the reconstruction
         for k in (1, width // 2 + 1, width):
-            if method == "nystrom":  # its rank is fixed at train time
-                model = NystromModel.from_samples(model.kernel, model.samples, k)
-                assert np.array_equal(model.basis, basis)
             scale = np.ones(width) if model.loading_scale is None else model.loading_scale
             lifted, loading, residual = model.project_test(data[0], k)
             assert np.array_equal(lifted, lift(data[0]))
@@ -218,6 +215,9 @@ class TestFeatureMapModel:
             lifts = model.lift_batch(data)
             coords = lifts @ basis[:, :k]
             assert np.allclose(loadings, coords * scale[:k], rtol=0, atol=1e-13)
+            # a rank-k answer is the first k columns of the full-width one
+            head = full[:, :k]
+            assert np.all(np.abs(loadings - head) <= 1e-13 * np.maximum(1.0, np.abs(head)))
             subtracted = np.linalg.norm(lifts - coords @ basis[:, :k].T, axis=1)
             assert np.all(np.abs(residuals - subtracted) <= 1e-13 * np.linalg.norm(lifts, axis=1))
             assert np.array_equal(model.gram_factor(data, k), loadings)
@@ -229,13 +229,11 @@ class TestFeatureMapModel:
         data, models = _projection_models()
         model = models[method][0]
         width = model.basis.shape[1]
-        bad = [0, width + 1, 2.0, True] + ([width - 1] if method == "nystrom" else [])
         entries = [model.answer, model.project_test, model.transform, model.gram_factor]
-        for k in bad:
+        for k in (0, width + 1, 2.0, True):
             for entry in entries:
                 x = data if entry in (model.transform, model.gram_factor) else data[0]
-                refused = (ContractViolationError, ConfigurationError)
-                with pytest.raises(refused, match="k must be in"):
+                with pytest.raises(ContractViolationError, match=rf"k must be in \[1, {width}\]"):
                     entry(x, k)
 
     @pytest.mark.parametrize("method", ["rnca", "nystrom"])
@@ -261,7 +259,7 @@ class TestFeatureMapModel:
         rnca = models["rnca"][0]
         for x in data[:5]:
             lifted = rnca.lift(x)
-            residuals = [rnca.project_test(x, k)[2] for k in rnca.ranks]
+            residuals = [rnca.project_test(x, k)[2] for k in range(1, rnca.basis.shape[1] + 1)]
             slack = 1e-13 * np.linalg.norm(lifted)
             assert all(b <= a + slack for a, b in zip(residuals, residuals[1:]))
 
